@@ -14,7 +14,7 @@ use uarch_sim::branch::PredictorKind;
 use uarch_sim::cache::Cache;
 use uarch_sim::config::{CacheConfig, SystemConfig};
 use uarch_sim::engine::{Engine, WorkloadHints};
-use uarch_sim::exec::{ExecPlan, UopSource};
+use uarch_sim::exec::ExecPlan;
 use uarch_sim::replacement::Policy;
 use uarch_sim::timeline::SamplerConfig;
 use workchar::phase::analyze_phases;
@@ -155,13 +155,12 @@ fn bench_engine(r: &mut Runner) {
     if !attribution.is_empty() {
         r.attach_attribution("engine_run_100k_profiled", attribution);
     }
-    // Paired with engine_run_100k above: a simpoint sparse replay of the
-    // same 100k-op trace — detailed counted simulation for the medoid
-    // intervals only, functional warming in between. The clustering plan is
-    // precomputed outside the loop (profiling is a one-time cost a campaign
-    // amortizes across replays); the ratio of the two medians is the
-    // warm-mode replay cost, and the headline reconstruction error printed
-    // alongside is the accuracy price of simulating medoids only.
+    // Paired with engine_run_100k above: a whole simpoint analysis of the
+    // same 100k-op trace — the chunked profiling pass, accuracy-guided
+    // k-medoids selection, and the reconstruction. Under the default warm
+    // gap mode the analysis is a single pass, so the ratio of the two
+    // medians is what planning costs on top of one full simulation; the
+    // plan printed alongside is the accuracy it buys.
     let gen =
         TraceGenerator::new(&Behavior::default(), &config, 7, 100_000).expect("valid behavior");
     let hints = WorkloadHints {
@@ -171,30 +170,15 @@ fn bench_engine(r: &mut Runner) {
     let sp = simpoint::SimpointConfig::default();
     let analysis = simpoint::analyze(&config, &gen, &hints, &sp).expect("simpoint plan");
     eprintln!(
-        "engine_run_100k_simpoint plan: k={} of {} intervals, {:.1}x fewer \
+        "simpoint_analyze_100k plan: k={} of {} intervals, {:.1}x fewer \
          detailed ops, {:.2}% max headline counter error",
         analysis.k(),
         analysis.n_intervals(),
         analysis.speedup(),
         analysis.max_headline_error() * 100.0
     );
-    let medoids: std::collections::HashSet<usize> = analysis.medoids.iter().copied().collect();
-    let plan = ExecPlan::new().hints(hints);
-    bench_paired(r, anchor, "engine_run_100k_simpoint", || {
-        let mut g = gen.clone();
-        let mut engine = Engine::new(&config);
-        let mut merged = uarch_sim::counters::PerfSession::new();
-        let mut interval = 0usize;
-        while g.remaining() > 0 {
-            let take = analysis.interval_ops.min(g.remaining());
-            if medoids.contains(&interval) {
-                merged.merge(&engine.execute((&mut g).take_ops(take), &plan));
-            } else {
-                engine.warm((&mut g).take_ops(take), &hints);
-            }
-            interval += 1;
-        }
-        black_box(merged)
+    bench_paired(r, anchor, "simpoint_analyze_100k", || {
+        black_box(simpoint::analyze(&config, &gen, &hints, &sp).expect("simpoint plan"))
     });
 }
 

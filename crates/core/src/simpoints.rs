@@ -6,8 +6,9 @@
 //! from the pair identity, the simulated system, the trace scale, and every
 //! simpoint tuning knob, so re-running a campaign with any ingredient
 //! changed transparently re-analyzes only the affected pairs. Campaigns are
-//! cache-first — a decodable stored record short-circuits the (two-pass)
-//! analysis — and run pairs in parallel on the panic-isolated
+//! cache-first — a decodable stored record short-circuits the analysis
+//! (one profiling pass under the default warm gap mode, plus a sparse
+//! replay under skip) — and run pairs in parallel on the panic-isolated
 //! [`Scheduler`]. The `reproduce`/`extensions` binaries drive this behind
 //! `--simpoint`; `simpoint-report` renders and gates the stored records.
 

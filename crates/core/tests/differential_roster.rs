@@ -87,10 +87,11 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
 
 #[test]
 fn simpoint_full_replay_reconstructs_exactly_across_suites() {
-    // k = n turns the sparse replay into a full run: alternating
-    // execute/warm over the batched engine must telescope to the exact
-    // monolithic counters. One representative per suite quadrant keeps
-    // the debug-build runtime in check.
+    // k = n leaves no gaps: under Skip the sparse replay becomes a full
+    // chunked run on a second engine, which must telescope to the exact
+    // profiled counters; under Warm the estimate is the sum of the
+    // profiled sessions. One representative per suite quadrant keeps the
+    // debug-build runtime in check.
     let config = SystemConfig::haswell_e5_2650l_v3();
     for name in ["505.mcf_r", "508.namd_r", "602.gcc_s", "654.roms_s"] {
         let app = cpu2017::app(name).expect("roster app");
@@ -102,18 +103,21 @@ fn simpoint_full_replay_reconstructs_exactly_across_suites() {
         let intervals = 8u64;
         let interval_ops = gen.remaining().div_ceil(intervals);
         let expected = gen.remaining().div_ceil(interval_ops) as usize;
-        let sp = simpoint::SimpointConfig {
-            interval_ops,
-            force_k: Some(expected),
-            ..simpoint::SimpointConfig::default()
-        };
-        let analysis = simpoint::analyze(&config, &gen, &hints, &sp).expect("analyzable trace");
-        assert_eq!(analysis.n_intervals(), expected, "{name}");
-        assert_eq!(analysis.k(), expected, "{name}");
-        assert_eq!(
-            analysis.estimate, analysis.reference,
-            "k = n reconstruction must be bit-identical on {name}"
-        );
-        assert_eq!(analysis.max_headline_error(), 0.0, "{name}");
+        for gap_mode in [simpoint::GapMode::Warm, simpoint::GapMode::Skip] {
+            let sp = simpoint::SimpointConfig {
+                interval_ops,
+                force_k: Some(expected),
+                gap_mode,
+                ..simpoint::SimpointConfig::default()
+            };
+            let analysis = simpoint::analyze(&config, &gen, &hints, &sp).expect("analyzable trace");
+            assert_eq!(analysis.n_intervals(), expected, "{name}");
+            assert_eq!(analysis.k(), expected, "{name}");
+            assert_eq!(
+                analysis.estimate, analysis.reference,
+                "k = n reconstruction must be bit-identical on {name} under {gap_mode:?}"
+            );
+            assert_eq!(analysis.max_headline_error(), 0.0, "{name}");
+        }
     }
 }

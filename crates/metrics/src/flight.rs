@@ -173,7 +173,10 @@ mod tests {
 
     #[test]
     fn disabled_notes_are_dropped_enabled_notes_are_kept() {
-        note("t-disabled", "must not appear");
+        {
+            let _off = test_support::disabled();
+            note("t-disabled", "must not appear");
+        }
         let (events, _) = snapshot();
         assert!(events.iter().all(|e| e.kind != "t-disabled"));
 

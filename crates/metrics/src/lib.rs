@@ -414,6 +414,17 @@ pub(crate) mod test_support {
         crate::enable();
         EnabledGuard(g)
     }
+
+    /// Guard from [`disabled`]: no test can enable metrics while it lives.
+    pub struct DisabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+    /// Holds metrics disabled for the duration of the returned guard, so a
+    /// test of the disabled path cannot observe another test's toggle.
+    pub fn disabled() -> DisabledGuard {
+        let g = ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        crate::disable();
+        DisabledGuard(g)
+    }
 }
 
 #[cfg(test)]
@@ -422,6 +433,7 @@ mod tests {
 
     #[test]
     fn disabled_metrics_record_nothing() {
+        let _off = test_support::disabled();
         let r = Registry::new();
         let c = r.counter("t_disabled_total", "x");
         let g = r.gauge("t_disabled_level", "x");

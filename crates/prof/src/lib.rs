@@ -690,15 +690,34 @@ pub mod test_support {
     /// that toggle the global profiler must hold this guard so they
     /// serialize against each other.
     pub fn enabled(interval: u64) -> EnabledGuard {
-        let lock = ENABLE_LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
+        let lock = lock();
         // A panicked predecessor may have left state behind.
         super::disable();
         super::drain();
         super::enable_with_interval(interval);
         EnabledGuard { _lock: lock }
+    }
+
+    /// Holds profiling disabled; no test can enable it while this lives.
+    pub struct DisabledGuard {
+        _lock: MutexGuard<'static, ()>,
+    }
+
+    /// Holds profiling disabled, from an empty collector, for the guard's
+    /// lifetime, so a test of the disabled path cannot observe another
+    /// test's toggle.
+    pub fn disabled() -> DisabledGuard {
+        let lock = lock();
+        super::disable();
+        super::drain();
+        DisabledGuard { _lock: lock }
+    }
+
+    fn lock() -> MutexGuard<'static, ()> {
+        ENABLE_LOCK
+            .get_or_init(|| Mutex::new(()))
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -708,8 +727,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_inert() {
-        let _guard = test_support::enabled(100);
-        disable();
+        let _guard = test_support::disabled();
         let _f = frame("run/test");
         let p = drain();
         assert!(p.samples.is_empty());

@@ -301,7 +301,10 @@ pub fn drain() -> Vec<Event> {
 /// caller that flips the enable flag serializes on one lock and starts
 /// from a drained collector.
 pub mod test_support {
+    use std::collections::HashSet;
     use std::sync::{Mutex, MutexGuard};
+
+    use crate::{Event, EventKind};
 
     /// Serializes everything that flips the process-wide enable flag.
     static ENABLE_LOCK: Mutex<()> = Mutex::new(());
@@ -325,6 +328,41 @@ pub mod test_support {
         crate::enable();
         EnabledGuard(g)
     }
+
+    /// Guard from [`disabled`]: no caller can enable recording while it
+    /// lives.
+    pub struct DisabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+    /// Holds recording disabled for the duration of the returned guard, so
+    /// a test of the disabled path cannot observe another test's toggle.
+    pub fn disabled() -> DisabledGuard {
+        let g = ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        crate::disable();
+        DisabledGuard(g)
+    }
+
+    /// Drains the collector, keeping only the events of the calling thread
+    /// and of the threads it forked (transitively). Threads outside the
+    /// caller's fork tree — other tests' schedulers running while
+    /// recording was on — would otherwise show up as unordered accesses.
+    pub fn drain_own() -> Vec<Event> {
+        let mut threads = HashSet::from([crate::thread_tid()]);
+        let mut tokens = HashSet::new();
+        crate::drain()
+            .into_iter()
+            .filter(|e| match e.kind {
+                EventKind::Fork { token } if threads.contains(&e.thread) => {
+                    tokens.insert(token);
+                    true
+                }
+                EventKind::Begin { token } if tokens.contains(&token) => {
+                    threads.insert(e.thread);
+                    true
+                }
+                _ => threads.contains(&e.thread),
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +371,7 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_inert() {
+        let _off = test_support::disabled();
         assert!(!is_enabled());
         let token = fork();
         assert!(token.is_none());
@@ -346,6 +385,31 @@ mod tests {
         assert!(!held.is_recording());
         drop(held);
         assert!(drain().is_empty());
+    }
+
+    #[test]
+    fn drain_own_keeps_the_fork_tree_and_drops_foreign_threads() {
+        let _on = test_support::enabled();
+        // Spawned without a fork token: outside the caller's fork tree.
+        std::thread::spawn(|| write("foreign")).join().unwrap();
+        let token = fork();
+        std::thread::spawn(move || {
+            begin(token);
+            write("child");
+            end(token);
+        })
+        .join()
+        .unwrap();
+        join(token);
+        write("own");
+        let events = test_support::drain_own();
+        let names: Vec<&str> = events
+            .iter()
+            .map(|e| e.what.as_str())
+            .filter(|w| !w.is_empty())
+            .collect();
+        assert_eq!(names, ["child", "own"]);
+        assert_eq!(events.len(), 6, "fork, begin, child, end, join, own");
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! The representative-interval pipeline: profile → cluster → sparse replay
-//! → reconstruct.
+//! The representative-interval pipeline: profile → cluster →
+//! reconstruct, with a sparse replay only when gaps are skipped.
 //!
-//! Both passes consume clones of the same pristine generator and drive the
-//! engine in identical interval-sized chunks, so at `force_k = n` (every
-//! interval a medoid) the sparse pass replays the exact chunk sequence of
-//! the profiling pass and the reconstruction is bit-identical to the
-//! reference — the invariant that anchors the error reporting.
+//! [`profile`] drives one engine over a clone of the pristine generator in
+//! interval-sized chunks; its per-chunk sessions are the interval deltas.
+//! Under [`GapMode::Warm`] a sparse replay would warm every gap op
+//! (`Engine::warm` makes the same state transitions as a counted run) in
+//! the same chunks, so it would reproduce every medoid's profiled session
+//! bit for bit: [`analyze`] therefore reconstructs straight from the
+//! profiled sessions and runs one pass. Only [`GapMode::Skip`], where a
+//! fast-forwarded gap leaves different machine state, runs [`replay`].
+//! The replay-identity test in the workspace suite drives [`replay`] under
+//! `Warm` and pins it to the profiled sessions and to the estimate.
 
 use stat_analysis::distance::Metric;
 use stat_analysis::kmedoids::{k_medoids, KMedoids};
@@ -29,7 +34,9 @@ pub enum GapMode {
     /// run, see `Engine::warm`), but nothing is counted or priced.
     /// Each medoid interval therefore starts from the exact state a full
     /// run would have given it, and the reconstruction error is purely
-    /// the clustering approximation.
+    /// the clustering approximation. Such a replay reproduces the profiled
+    /// medoid sessions exactly, so [`analyze`] skips it and reconstructs
+    /// from the profiling pass.
     #[default]
     Warm,
     /// Fast-forward the generator RNG-exactly and skip the engine
@@ -65,8 +72,8 @@ pub struct SimpointConfig {
     /// already warms.
     pub warmup_intervals: usize,
     /// Bypasses silhouette selection and clusters with exactly this k
-    /// (clamped to the interval count). `Some(n)` turns the sparse replay
-    /// into a full run — the exactness regression path.
+    /// (clamped to the interval count). `Some(n)` makes every interval a
+    /// medoid — the exactness regression path.
     pub force_k: Option<usize>,
 }
 
@@ -118,12 +125,15 @@ pub struct SimpointAnalysis {
     pub interval_ops: u64,
     /// Micro-ops in the full run.
     pub total_ops: u64,
-    /// Micro-ops that received detailed, counted simulation in the sparse
-    /// replay (the medoid intervals).
+    /// Micro-ops a sampled simulation runs in detail: the summed lengths
+    /// of the medoid intervals.
     pub simulated_ops: u64,
-    /// Micro-ops functionally warmed (state updates, nothing counted).
+    /// Micro-ops a sampled simulation functionally warms (state updates,
+    /// nothing counted): every other op under [`GapMode::Warm`], the
+    /// lead-in intervals under [`GapMode::Skip`].
     pub warmed_ops: u64,
-    /// Micro-ops fast-forwarded past without touching the engine.
+    /// Micro-ops fast-forwarded past without touching the engine (0 under
+    /// [`GapMode::Warm`]).
     pub skipped_ops: u64,
     /// Mean silhouette of the chosen clustering (0.0 when k = 1, where it
     /// is undefined).
@@ -210,29 +220,15 @@ fn headline_error(reference: &PerfSession, estimate: &PerfSession) -> f64 {
 }
 
 /// The counter file a clustering would reconstruct, computed from the
-/// profiled interval sessions: each medoid's counters scaled by its
-/// cluster's interval count. Under [`GapMode::Warm`] the sparse replay
-/// reproduces these sessions bit-identically, so this prediction equals
-/// the final estimate exactly; under [`GapMode::Skip`] it is optimistic.
+/// profiled interval sessions. Under [`GapMode::Warm`] a sparse replay
+/// reproduces these sessions bit-identically, so this prediction *is* the
+/// final estimate; under [`GapMode::Skip`] it is optimistic.
 fn predicted_estimate(
     samples: &[IntervalSample],
     medoids: &[usize],
     labels: &[usize],
 ) -> PerfSession {
-    let mut counts = vec![0u64; medoids.len()];
-    for &label in labels {
-        counts[label] += 1;
-    }
-    let mut estimate = PerfSession::new();
-    for (cluster, &m) in medoids.iter().enumerate() {
-        for ev in Event::ALL {
-            estimate.add(
-                ev,
-                samples[m].deltas.count(ev).saturating_mul(counts[cluster]),
-            );
-        }
-    }
-    estimate
+    reconstruct(medoids.iter().map(|&m| &samples[m].deltas), labels)
 }
 
 /// Relative error of `estimate` against `reference`, with the degenerate
@@ -260,12 +256,194 @@ fn mpki(session: &PerfSession, miss_event: Event) -> f64 {
     }
 }
 
+/// The profiling pass over one run: per-interval counter deltas and their
+/// merge.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Profile {
+    /// Counted micro-ops per interval (the last interval may be shorter).
+    pub interval_ops: u64,
+    /// Micro-ops in the full run.
+    pub total_ops: u64,
+    /// One sample per interval, in trace order.
+    pub samples: Vec<IntervalSample>,
+    /// Ground truth: the merged counters of every interval.
+    pub reference: PerfSession,
+}
+
+/// Profiles a clone of `generator` on one engine, one chunked run per
+/// interval. The per-chunk sessions *are* the interval deltas (state
+/// carries across chunks on the engine), and their merge is the reference
+/// counter file. The interval size is `config.interval_ops`, or
+/// `total_ops / config.target_intervals` when that is 0.
+///
+/// # Errors
+///
+/// [`SimpointError::EmptyTrace`] when the generator is exhausted.
+pub fn profile(
+    system: &SystemConfig,
+    generator: &TraceGenerator,
+    hints: &WorkloadHints,
+    config: &SimpointConfig,
+) -> Result<Profile, SimpointError> {
+    let total_ops = generator.remaining();
+    if total_ops == 0 {
+        return Err(SimpointError::EmptyTrace);
+    }
+    let interval_ops = if config.interval_ops > 0 {
+        config.interval_ops
+    } else {
+        (total_ops / config.target_intervals.max(1) as u64).max(1)
+    };
+    let plan = ExecPlan::new().hints(*hints);
+    let mut engine = Engine::new(system);
+    let mut gen = generator.clone();
+    let mut samples = Vec::with_capacity(total_ops.div_ceil(interval_ops) as usize);
+    let mut reference = PerfSession::new();
+    let mut start = 0u64;
+    while gen.remaining() > 0 {
+        let take = interval_ops.min(gen.remaining());
+        let session = engine.execute((&mut gen).take_ops(take), &plan);
+        reference.merge(&session);
+        samples.push(IntervalSample {
+            start_op: start,
+            end_op: start + take,
+            deltas: session,
+        });
+        start += take;
+    }
+    Ok(Profile {
+        interval_ops,
+        total_ops,
+        samples,
+        reference,
+    })
+}
+
+/// The outcome of a sparse replay.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Replay {
+    /// The counted session of each medoid interval, in `medoids` order.
+    pub sessions: Vec<PerfSession>,
+    /// Micro-ops simulated in detail (the medoid intervals).
+    pub simulated_ops: u64,
+    /// Micro-ops functionally warmed.
+    pub warmed_ops: u64,
+    /// Micro-ops fast-forwarded past without touching the engine.
+    pub skipped_ops: u64,
+}
+
+/// Replays a clone of `generator` on a fresh engine in the profiling
+/// pass's interval chunks: detailed counted simulation for the `medoids`
+/// intervals only, gaps functionally warmed or skipped per `gap_mode`.
+/// Under [`GapMode::Skip`], the `warmup_intervals` intervals before each
+/// medoid are warmed rather than skipped.
+///
+/// Chunk boundaries match [`profile`] one-for-one, so under
+/// [`GapMode::Warm`] every medoid session comes out bit-identical to its
+/// profiled interval — which is why [`analyze`] only replays under
+/// [`GapMode::Skip`], where a skipped gap leaves different machine state.
+pub fn replay(
+    system: &SystemConfig,
+    generator: &TraceGenerator,
+    hints: &WorkloadHints,
+    interval_ops: u64,
+    medoids: &[usize],
+    gap_mode: GapMode,
+    warmup_intervals: usize,
+) -> Replay {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Step {
+        Detail,
+        Warm,
+        Skip,
+    }
+    let n = generator.remaining().div_ceil(interval_ops) as usize;
+    let gap_step = match gap_mode {
+        GapMode::Warm => Step::Warm,
+        GapMode::Skip => Step::Skip,
+    };
+    let mut steps = vec![gap_step; n];
+    if gap_mode == GapMode::Skip {
+        for &m in medoids {
+            steps[m - warmup_intervals.min(m)..m].fill(Step::Warm);
+        }
+    }
+    for &m in medoids {
+        steps[m] = Step::Detail;
+    }
+    let plan = ExecPlan::new().hints(*hints);
+    let mut engine = Engine::new(system);
+    let mut gen = generator.clone();
+    let (mut simulated_ops, mut warmed_ops, mut skipped_ops) = (0u64, 0u64, 0u64);
+    let mut sessions: Vec<Option<PerfSession>> = vec![None; n];
+    for (i, step) in steps.iter().enumerate() {
+        let len = interval_ops.min(gen.remaining());
+        match step {
+            Step::Detail => {
+                sessions[i] = Some(engine.execute((&mut gen).take_ops(len), &plan));
+                simulated_ops += len;
+            }
+            Step::Warm => {
+                engine.warm((&mut gen).take_ops(len), hints);
+                warmed_ops += len;
+            }
+            Step::Skip => {
+                gen.fast_forward(len);
+                skipped_ops += len;
+            }
+        }
+    }
+    Replay {
+        sessions: medoids
+            .iter()
+            .map(|&m| sessions[m].take().expect("medoid interval was simulated"))
+            .collect(),
+        simulated_ops,
+        warmed_ops,
+        skipped_ops,
+    }
+}
+
+/// Intervals per cluster.
+fn cluster_sizes(labels: &[usize], k: usize) -> Vec<u64> {
+    let mut counts = vec![0u64; k];
+    for &label in labels {
+        counts[label] += 1;
+    }
+    counts
+}
+
+/// Reconstructs whole-run counters: each medoid session (in cluster order)
+/// stands for every interval of its cluster, so it is scaled by the
+/// cluster's interval count. Integer arithmetic end to end — at k = n this
+/// telescopes back to the reference exactly.
+pub fn reconstruct<'a>(
+    medoid_sessions: impl ExactSizeIterator<Item = &'a PerfSession>,
+    labels: &[usize],
+) -> PerfSession {
+    let counts = cluster_sizes(labels, medoid_sessions.len());
+    let mut estimate = PerfSession::new();
+    for (session, &count) in medoid_sessions.zip(&counts) {
+        for ev in Event::ALL {
+            estimate.add(ev, session.count(ev).saturating_mul(count));
+        }
+    }
+    estimate
+}
+
 /// Runs the full pipeline against a pristine generator.
 ///
-/// The generator is cloned twice (profiling pass, sparse replay); the
-/// caller's instance is left untouched. `hints` should be the same workload
-/// hints a full characterization run would use (in particular the
-/// generator's `l2_bypass_range`).
+/// The generator is cloned for the profiling pass (and, under
+/// [`GapMode::Skip`], once more for the sparse replay); the caller's
+/// instance is left untouched. `hints` should be the same workload hints a
+/// full characterization run would use (in particular the generator's
+/// `l2_bypass_range`).
+///
+/// Under [`GapMode::Warm`] the analysis is a single pass: a warm replay
+/// would reproduce every medoid's profiled session bit for bit, so the
+/// estimate is reconstructed from the profiled sessions directly and the
+/// op accounting is the plan's (medoid interval lengths detailed,
+/// everything else warmed).
 ///
 /// # Errors
 ///
@@ -277,38 +455,13 @@ pub fn analyze(
     hints: &WorkloadHints,
     config: &SimpointConfig,
 ) -> Result<SimpointAnalysis, SimpointError> {
-    let total_ops = generator.remaining();
-    if total_ops == 0 {
-        return Err(SimpointError::EmptyTrace);
-    }
-    let interval_ops = if config.interval_ops > 0 {
-        config.interval_ops
-    } else {
-        (total_ops / config.target_intervals.max(1) as u64).max(1)
-    };
-    let n = total_ops.div_ceil(interval_ops) as usize;
-    let plan = ExecPlan::new().hints(*hints);
-
-    // Profiling pass: one engine, one chunked run per interval. The
-    // per-chunk sessions *are* the interval deltas (state carries across
-    // chunks on the engine), and their merge is the reference counter file.
-    let mut profiler = Engine::new(system);
-    let mut gen = generator.clone();
-    let mut samples: Vec<IntervalSample> = Vec::with_capacity(n);
-    let mut reference = PerfSession::new();
-    let mut start = 0u64;
-    while gen.remaining() > 0 {
-        let take = interval_ops.min(gen.remaining());
-        let session = profiler.execute((&mut gen).take_ops(take), &plan);
-        reference.merge(&session);
-        samples.push(IntervalSample {
-            start_op: start,
-            end_op: start + take,
-            deltas: session,
-        });
-        start += take;
-    }
-    debug_assert_eq!(samples.len(), n);
+    let Profile {
+        interval_ops,
+        total_ops,
+        samples,
+        reference,
+    } = profile(system, generator, hints, config)?;
+    let n = samples.len();
 
     // Feature matrix: standardized so the mix fractions (≤ 1) and the MPKI
     // columns (tens) weigh equally in the distance.
@@ -317,79 +470,36 @@ pub fn analyze(
         .map(|s| s.feature_vector().to_vec())
         .collect();
     let rows = standardize(&rows)?;
-    let (clustering, silhouette) = choose_k(&rows, &samples, &reference, config)?;
+    let (clustering, silhouette, predicted) = choose_k(&rows, &samples, &reference, config)?;
     let medoids = clustering.medoids;
     let labels = clustering.labels;
-    let k = medoids.len();
+    let weights: Vec<f64> = cluster_sizes(&labels, medoids.len())
+        .iter()
+        .map(|&c| c as f64 / n as f64)
+        .collect();
 
-    let mut counts = vec![0u64; k];
-    for &label in &labels {
-        counts[label] += 1;
-    }
-    let weights: Vec<f64> = counts.iter().map(|&c| c as f64 / n as f64).collect();
-
-    // Sparse replay on a fresh engine: detailed counted simulation for
-    // medoid intervals only; gaps are functionally warmed or skipped per
-    // the configured mode. Chunk boundaries match the profiling pass
-    // one-for-one, so under GapMode::Warm every medoid session comes out
-    // bit-identical to its profiled interval.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Step {
-        Detail,
-        Warm,
-        Skip,
-    }
-    let gap_step = match config.gap_mode {
-        GapMode::Warm => Step::Warm,
-        GapMode::Skip => Step::Skip,
+    let (estimate, simulated_ops, warmed_ops, skipped_ops) = match config.gap_mode {
+        GapMode::Warm => {
+            let simulated_ops: u64 = medoids
+                .iter()
+                .map(|&m| samples[m].end_op - samples[m].start_op)
+                .sum();
+            (predicted, simulated_ops, total_ops - simulated_ops, 0)
+        }
+        GapMode::Skip => {
+            let r = replay(
+                system,
+                generator,
+                hints,
+                interval_ops,
+                &medoids,
+                GapMode::Skip,
+                config.warmup_intervals,
+            );
+            let estimate = reconstruct(r.sessions.iter(), &labels);
+            (estimate, r.simulated_ops, r.warmed_ops, r.skipped_ops)
+        }
     };
-    let mut steps = vec![gap_step; n];
-    if config.gap_mode == GapMode::Skip {
-        for &m in &medoids {
-            for step in &mut steps[m - config.warmup_intervals.min(m)..m] {
-                *step = Step::Warm;
-            }
-        }
-    }
-    for &m in &medoids {
-        steps[m] = Step::Detail;
-    }
-    let mut replayer = Engine::new(system);
-    let mut gen = generator.clone();
-    let (mut simulated_ops, mut warmed_ops, mut skipped_ops) = (0u64, 0u64, 0u64);
-    let mut medoid_sessions: Vec<Option<PerfSession>> = vec![None; n];
-    for (i, step) in steps.iter().enumerate() {
-        let len = interval_ops.min(gen.remaining());
-        match step {
-            Step::Detail => {
-                let session = replayer.execute((&mut gen).take_ops(len), &plan);
-                simulated_ops += len;
-                medoid_sessions[i] = Some(session);
-            }
-            Step::Warm => {
-                replayer.warm((&mut gen).take_ops(len), hints);
-                warmed_ops += len;
-            }
-            Step::Skip => {
-                gen.fast_forward(len);
-                skipped_ops += len;
-            }
-        }
-    }
-
-    // Reconstruction: each medoid's counters stand for every interval of
-    // its cluster, so scale by the cluster's interval count. Integer
-    // arithmetic end to end — at k = n this telescopes back to the
-    // reference exactly.
-    let mut estimate = PerfSession::new();
-    for (cluster, &m) in medoids.iter().enumerate() {
-        let session = medoid_sessions[m]
-            .take()
-            .expect("medoid interval was simulated");
-        for ev in Event::ALL {
-            estimate.add(ev, session.count(ev).saturating_mul(counts[cluster]));
-        }
-    }
 
     Ok(SimpointAnalysis {
         interval_ops,
@@ -419,8 +529,8 @@ fn standardize(rows: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, StatsError> {
 /// Picks k and clusters: the smallest k in `1..=max_k` whose predicted
 /// reconstruction error meets `error_budget` (maximal speedup among the
 /// acceptable clusterings), the minimum-error candidate if none does, or
-/// exactly `force_k`. The mean silhouette of the winner is reported as the
-/// phase-separation confidence score.
+/// exactly `force_k`. Returns the winner with its mean silhouette (the
+/// phase-separation confidence score) and its predicted estimate.
 ///
 /// Silhouette alone is deliberately not the selector: it measures how
 /// geometrically separated the phases are, and a run whose phases sit close
@@ -433,7 +543,7 @@ fn choose_k(
     samples: &[IntervalSample],
     reference: &PerfSession,
     config: &SimpointConfig,
-) -> Result<(KMedoids, f64), SimpointError> {
+) -> Result<(KMedoids, f64, PerfSession), SimpointError> {
     let n = rows.len();
     let silhouette_of = |clustering: &KMedoids| {
         if clustering.medoids.len() < 2 {
@@ -445,24 +555,25 @@ fn choose_k(
     if let Some(forced) = config.force_k {
         let clustering = k_medoids(rows, forced.clamp(1, n), Metric::Euclidean)?;
         let silhouette = silhouette_of(&clustering);
-        return Ok((clustering, silhouette));
+        let estimate = predicted_estimate(samples, &clustering.medoids, &clustering.labels);
+        return Ok((clustering, silhouette, estimate));
     }
-    let mut fallback: Option<(KMedoids, f64, f64)> = None;
+    let mut fallback: Option<(KMedoids, f64, PerfSession, f64)> = None;
     for k in 1..=config.max_k.min(n) {
         let clustering = k_medoids(rows, k, Metric::Euclidean)?;
         let estimate = predicted_estimate(samples, &clustering.medoids, &clustering.labels);
         let error = headline_error(reference, &estimate);
         if error <= config.error_budget {
             let silhouette = silhouette_of(&clustering);
-            return Ok((clustering, silhouette));
+            return Ok((clustering, silhouette, estimate));
         }
-        if fallback.as_ref().is_none_or(|&(_, _, e)| error < e) {
+        if fallback.as_ref().is_none_or(|&(_, _, _, e)| error < e) {
             let silhouette = silhouette_of(&clustering);
-            fallback = Some((clustering, silhouette, error));
+            fallback = Some((clustering, silhouette, estimate, error));
         }
     }
-    let (clustering, silhouette, _) = fallback.expect("max_k >= 1 candidate evaluated");
-    Ok((clustering, silhouette))
+    let (clustering, silhouette, estimate, _) = fallback.expect("max_k >= 1 candidate evaluated");
+    Ok((clustering, silhouette, estimate))
 }
 
 #[cfg(test)]

@@ -28,9 +28,11 @@ pub struct SimpointRecord {
     pub interval_ops: u64,
     /// Micro-ops in the full run.
     pub total_ops: u64,
-    /// Micro-ops the sparse replay simulated in detail (medoid intervals).
+    /// Micro-ops the plan simulates in detail: the summed medoid interval
+    /// lengths.
     pub simulated_ops: u64,
-    /// Micro-ops functionally warmed between simulation points.
+    /// Micro-ops the plan functionally warms between simulation points
+    /// (`total_ops - simulated_ops` under the default warm gap mode).
     pub warmed_ops: u64,
     /// Mean silhouette of the chosen clustering (0.0 when k = 1).
     pub silhouette: f64,

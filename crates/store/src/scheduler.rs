@@ -449,7 +449,7 @@ mod tests {
     {
         let _on = simrace::test_support::enabled();
         let report = Scheduler::new(workers).run(total, |i| format!("job-{i}"), job, |_| {});
-        let events = simrace::drain();
+        let events = simrace::test_support::drain_own();
         assert!(
             total == 0 || !events.is_empty(),
             "instrumentation must record something for a non-empty batch"
@@ -516,7 +516,8 @@ mod tests {
             },
             |_| {},
         );
-        let findings = simrace::checker::check_events("sched/live", &simrace::drain());
+        let findings =
+            simrace::checker::check_events("sched/live", &simrace::test_support::drain_own());
         assert!(
             findings
                 .diagnostics()

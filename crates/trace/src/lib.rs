@@ -435,6 +435,17 @@ pub mod test_support {
         crate::enable();
         EnabledGuard(g)
     }
+
+    /// Guard from [`disabled`]: no test can enable tracing while it lives.
+    pub struct DisabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+    /// Holds tracing disabled for the duration of the returned guard, so a
+    /// test of the disabled path cannot observe another test's toggle.
+    pub fn disabled() -> DisabledGuard {
+        let g = ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        crate::disable();
+        DisabledGuard(g)
+    }
 }
 
 #[cfg(test)]
@@ -443,6 +454,7 @@ mod tests {
 
     #[test]
     fn disabled_guards_are_inert() {
+        let _off = test_support::disabled();
         assert!(!is_enabled());
         let mut g = span("noop");
         assert!(!g.is_recording());

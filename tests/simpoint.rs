@@ -1,11 +1,12 @@
 //! End-to-end properties of the simpoint subsystem, pinned at the
-//! workspace level: the exactness anchor (k = n reconstructs the reference
-//! bit-identically), the acceptance floor (≥ 5x fewer detailed ops at
+//! workspace level: the exactness anchors (k = n reconstructs the reference
+//! bit-identically, and a warm sparse replay of a real plan reproduces the
+//! single-pass estimate bit for bit), the acceptance floor (≥ 5x fewer detailed ops at
 //! ≤ 5% headline counter error on real roster pairs), and off-path purity
 //! (running a simpoint analysis perturbs nothing the characterization
 //! pipeline measures).
 
-use spec2017_workchar::simpoint::{analyze, GapMode, SimpointConfig};
+use spec2017_workchar::simpoint::{analyze, profile, reconstruct, replay, GapMode, SimpointConfig};
 use spec2017_workchar::uarch_sim::counters::Event;
 use spec2017_workchar::workchar::characterize::{characterize_pair, prepared_run, RunConfig};
 use spec2017_workchar::workload_synth::cpu2017;
@@ -15,10 +16,10 @@ fn quick() -> RunConfig {
     RunConfig::quick()
 }
 
-/// With every interval its own cluster there are no gaps to approximate:
-/// the sparse replay degenerates to a full chunked run and reconstruction
-/// must be *bit-identical* to the reference — in both gap modes, since no
-/// interval is ever warmed or skipped.
+/// With every interval its own cluster there are no gaps to approximate,
+/// so reconstruction must be *bit-identical* to the reference in both gap
+/// modes: under `Warm` it sums the profiled sessions, under `Skip` the
+/// sparse replay degenerates to a full chunked run.
 #[test]
 fn k_equal_to_n_reconstructs_bit_identically() {
     let run = quick();
@@ -44,6 +45,61 @@ fn k_equal_to_n_reconstructs_bit_identically() {
         for ev in Event::ALL {
             assert_eq!(a.counter_error(ev), 0.0, "{ev} under {gap_mode:?}");
         }
+    }
+}
+
+/// The proof behind the single-pass warm analysis: on real plans (k < n,
+/// so gaps are really warmed), a `Warm` sparse replay over the chosen
+/// medoids reproduces every profiled medoid session bit for bit, and
+/// reconstructing from the replayed sessions gives exactly the estimate
+/// `analyze` built from the profiling pass. Covers the behaviour range of
+/// the acceptance-floor pairs plus one representative per suite quadrant.
+#[test]
+fn warm_replay_reproduces_the_single_pass_estimate() {
+    let run = quick();
+    let config = SimpointConfig::default();
+    for name in [
+        "505.mcf_r",
+        "520.omnetpp_r",
+        "525.x264_r",
+        "619.lbm_s",
+        "508.namd_r",
+        "602.gcc_s",
+        "654.roms_s",
+    ] {
+        let app = cpu2017::app(name).unwrap();
+        let pair = &app.pairs(InputSize::Ref)[0];
+        let (trace, hints) = prepared_run(pair, &run).unwrap();
+        let a = analyze(&run.system, &trace, &hints, &config).unwrap();
+        assert!(a.k() < a.n_intervals(), "{name}: the plan must leave gaps");
+        let profiled = profile(&run.system, &trace, &hints, &config).unwrap();
+        assert_eq!(profiled.reference, a.reference, "{name}");
+        let r = replay(
+            &run.system,
+            &trace,
+            &hints,
+            a.interval_ops,
+            &a.medoids,
+            GapMode::Warm,
+            config.warmup_intervals,
+        );
+        assert!(r.warmed_ops > 0, "{name}: no gap op was warmed");
+        for (session, &m) in r.sessions.iter().zip(&a.medoids) {
+            assert_eq!(
+                session, &profiled.samples[m].deltas,
+                "{name}: replayed medoid {m} diverged from its profiled session"
+            );
+        }
+        assert_eq!(
+            reconstruct(r.sessions.iter(), &a.labels),
+            a.estimate,
+            "{name}: replayed reconstruction diverged from the single-pass estimate"
+        );
+        assert_eq!(
+            (r.simulated_ops, r.warmed_ops, r.skipped_ops),
+            (a.simulated_ops, a.warmed_ops, a.skipped_ops),
+            "{name}: op accounting"
+        );
     }
 }
 
@@ -76,7 +132,7 @@ fn roster_pairs_meet_speedup_and_error_floor() {
 
 /// Running a simpoint analysis must not perturb anything the ordinary
 /// characterization pipeline measures: the analysis clones its generator
-/// and builds its own engines, so a characterization made after an
+/// and builds its own engine, so a characterization made after an
 /// analysis is bit-identical to one made before.
 #[test]
 fn simpoint_analysis_leaves_characterization_untouched() {
