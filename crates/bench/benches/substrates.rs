@@ -22,7 +22,6 @@ use workload_synth::generator::TraceGenerator;
 use workload_synth::phases::demo_three_phase;
 use workload_synth::profile::Behavior;
 use workload_synth::rng::Rng64;
-use workload_synth::trace::{write_trace, TraceReader};
 
 fn random_rows(seed: u64, rows: usize, cols: usize, offset: f64) -> Vec<Vec<f64>> {
     let mut rng = Rng64::seed_from(seed);
@@ -183,23 +182,12 @@ fn bench_engine(r: &mut Runner) {
 }
 
 fn bench_scheduler(r: &mut Runner) {
-    // Paired pair for the simrace design budget: the scheduler's sync hooks
-    // are compiled in unconditionally and cost one relaxed atomic load per
-    // site when disabled, so the ratio of the raced median to the anchor is
-    // the hooks' full recording overhead and the anchor's own median tracks
-    // the disabled-path cost (budgeted at <5% vs the pre-hook scheduler).
+    // Scheduler overhead per job: 64 trivial jobs over 4 workers, so the
+    // median is spawn, cursor, hand-back and scatter cost, not job work.
     let sched = simstore::Scheduler::new(4);
-    let anchor = r.bench("sched_batch_64x4", || {
+    r.bench("sched_batch_64x4", || {
         black_box(sched.run(64, |i| format!("job-{i}"), |i| black_box(i) * 3, |_| {}))
     });
-    simrace::enable();
-    bench_paired(r, anchor, "sched_batch_64x4_raced", || {
-        let report = black_box(sched.run(64, |i| format!("job-{i}"), |i| black_box(i) * 3, |_| {}));
-        black_box(simrace::drain().len());
-        report
-    });
-    simrace::disable();
-    simrace::drain();
 }
 
 fn bench_pca(r: &mut Runner) {
@@ -237,27 +225,6 @@ fn bench_varimax(r: &mut Runner) {
     // The paper's loading shape: 20 characteristics x 4 components.
     let loadings = Matrix::from_rows(&random_rows(12, 20, 4, -0.5)).unwrap();
     r.bench("varimax_20x4", || black_box(varimax(&loadings).unwrap()));
-}
-
-fn bench_trace_io(r: &mut Runner) {
-    let config = SystemConfig::haswell_e5_2650l_v3();
-    let ops: Vec<_> = TraceGenerator::new(&Behavior::default(), &config, 17, 100_000)
-        .expect("valid behavior")
-        .collect();
-    r.bench("trace_serialize_100k", || {
-        let mut buf = Vec::with_capacity(1 << 20);
-        write_trace(&mut buf, ops.iter().copied(), ops.len() as u64).unwrap();
-        black_box(buf.len())
-    });
-    let mut buf = Vec::new();
-    write_trace(&mut buf, ops.iter().copied(), ops.len() as u64).unwrap();
-    r.bench("trace_deserialize_100k", || {
-        let reader = TraceReader::open(buf.as_slice()).unwrap();
-        black_box(reader.fold(0usize, |acc, rec| {
-            rec.unwrap();
-            acc + 1
-        }))
-    });
 }
 
 fn bench_histogram_exemplars(r: &mut Runner) {
@@ -317,7 +284,6 @@ fn main() {
     bench_clustering(&mut r);
     bench_kmedoids_and_silhouette(&mut r);
     bench_varimax(&mut r);
-    bench_trace_io(&mut r);
     bench_histogram_exemplars(&mut r);
     bench_phase_detection(&mut r);
     r.finish();

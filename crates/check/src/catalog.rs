@@ -533,7 +533,7 @@ pub mod codes {
          write, recorded on different threads with no happens-before path \
          between them (no spawn/join edge, no common lock, no channel \
          hand-off) can execute in either order — the textbook data race. \
-         For the pipeline it means a result slot, failure list, or counter \
+         For the pipeline it means a store index shard or registry entry \
          whose final value depends on thread timing, which breaks the \
          reproducibility every cached record and golden test relies on.");
     rule!(pub X002, "X002", "lock-order-inversion", Error, Race,
@@ -550,8 +550,8 @@ pub mod codes {
          spawned thread's writes before the code that reads its results: \
          the parent may observe half-finished state, and under std::thread \
          a detached worker can outlive the batch that spawned it. Scoped \
-         spawns make this structurally impossible, which is why the \
-         scheduler's instrumentation must show a join edge per worker.");
+         spawns make this structurally impossible; recorded forks must \
+         show the join edge that a scope exit provides.");
     rule!(pub X004, "X004", "release-without-acquire", Error, Race,
         "a lock release must match a prior acquire by the same thread",
         "Releasing a lock the releasing thread does not hold (never \

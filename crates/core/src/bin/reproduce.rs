@@ -32,8 +32,8 @@
 //! worker threads — exported as Perfetto-loadable Chrome Trace Event JSON
 //! plus the compact binary format under `<results>/traces/` (feed either to
 //! `trace-report`). `--race` records synchronization events from the
-//! scheduler, the store's index shards, and the metrics registry, and at
-//! the end of the run audits them with the vector-clock happens-before
+//! store's index shards and the metrics registry, and at the end of the
+//! run audits them with the vector-clock happens-before
 //! checker (`X`-rules; any finding exits nonzero). `--profile` records an
 //! op-clocked statistical profile of the whole run — engine samples fold
 //! under the pipeline stage and scheduler job frames — and writes the

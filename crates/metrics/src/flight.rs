@@ -176,9 +176,12 @@ mod tests {
         {
             let _off = test_support::disabled();
             note("t-disabled", "must not appear");
+            // Snapshot under the guard: it locks every slot in turn, and a
+            // concurrent test's `note` that finds its slot locked drops
+            // its event.
+            let (events, _) = snapshot();
+            assert!(events.iter().all(|e| e.kind != "t-disabled"));
         }
-        let (events, _) = snapshot();
-        assert!(events.iter().all(|e| e.kind != "t-disabled"));
 
         let _on = test_support::enabled();
         note("t-enabled", "pair 999.broken_r/ref/in1");

@@ -69,8 +69,7 @@ struct Held {
 }
 
 /// Replays `events` and reports every X-rule violation found. `object` is
-/// the span identity findings are filed under (e.g. `"race/scheduler"` or
-/// a shuffle scenario name).
+/// the span identity findings are filed under (e.g. `"run/reproduce"`).
 pub fn check_events(object: &str, events: &[Event]) -> Report {
     let mut report = Report::new();
 

@@ -3,8 +3,8 @@
 //!
 //! Events are deliberately coarse: the checker does not model memory, only
 //! *named* things — locks, channels, and shared resources are identified by
-//! the strings the instrumentation sites choose (`sched/slot:3`,
-//! `store/index-shard:7`, `metrics/registry`). That keeps the hooks trivial
+//! the strings the instrumentation sites choose
+//! (`store/index-shard:7`, `metrics/registry`). That keeps the hooks trivial
 //! and the reports readable: a finding names the protocol object that was
 //! misused, not an address.
 
@@ -92,8 +92,8 @@ impl fmt::Display for EventKind {
 /// One recorded synchronization event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// The recording thread (process-unique small id; virtual-thread index
-    /// when the event came from the shuffle harness).
+    /// The recording thread (process-unique small id; any small id for a
+    /// hand-built stream).
     pub thread: u32,
     /// What happened.
     pub kind: EventKind,
@@ -102,7 +102,7 @@ pub struct Event {
 }
 
 impl Event {
-    /// Convenience constructor for tests and the shuffle harness.
+    /// Convenience constructor for hand-built event streams.
     pub fn new(thread: u32, kind: EventKind, what: &str) -> Event {
         Event {
             thread,

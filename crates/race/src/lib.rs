@@ -1,11 +1,13 @@
 //! simrace: concurrency-correctness analysis for the pipeline.
 //!
 //! simcheck audits *data shape* — profiles, configs, counters — but nothing
-//! in the repo audits *execution order*: the scheduler fans jobs across
-//! worker threads, the store shards its index behind `RwLock`s, and the
-//! metrics registry is mutated from whichever thread first touches a
-//! handle. All of that is trusted to be well-synchronized because "tests
-//! pass". This crate makes the synchronization itself checkable:
+//! else audits *execution order*. The scheduler needs no auditing: its
+//! workers hand their results back through `join` and share only atomics,
+//! so the type system rules out the races this crate looks for. What still
+//! takes locks is instrumented: the store shards its index behind
+//! `RwLock`s (`store/index-shard:N`), and the metrics registry is mutated
+//! from whichever thread first touches a handle (`metrics/registry`). This
+//! crate makes that locking checkable:
 //!
 //! - [`event`] — a tiny synchronization-event vocabulary (spawn/join via
 //!   [`ForkToken`]s, lock acquire/release in exclusive and shared flavours,
@@ -17,13 +19,9 @@
 //!   the `X…` simcheck rule family (`X001` unordered conflicting access,
 //!   `X002` lock-order inversion, `X003` join-less spawn, `X004` release
 //!   without acquire).
-//! - [`shuffle`] — a deterministic seed-driven schedule explorer
-//!   (loom-lite): scripted virtual threads are interleaved under permuted
-//!   schedules with bounded preemptions, producing event streams for the
-//!   checker and detecting outright deadlocks.
-//! - [`scenarios`] — models of the scheduler's job/slot/failure protocol,
-//!   clean and with deliberately planted bugs, plus the exploration driver
-//!   the `lint --race` pass runs.
+//!
+//! `reproduce --race` and `extensions --race` record a whole run and audit
+//! it at exit.
 //!
 //! Like simtrace and simmetrics, recording is gated on one process-wide
 //! flag: while [`is_enabled`] is false every hook is a single relaxed
@@ -32,8 +30,6 @@
 
 pub mod checker;
 pub mod event;
-pub mod scenarios;
-pub mod shuffle;
 pub mod vclock;
 
 use std::cell::Cell;
@@ -439,6 +435,38 @@ mod tests {
         assert_ne!(forker, child);
         assert!(events[1..6].iter().all(|e| e.thread == child));
         assert_eq!(events[6].thread, forker);
+    }
+
+    #[test]
+    fn planted_unsynchronized_write_is_flagged() {
+        // Two forked threads write one shared name with no lock between
+        // them: the checker must flag X001 on a real multi-threaded run.
+        let _on = test_support::enabled();
+        let barrier = std::sync::Barrier::new(2);
+        let tokens = [fork(), fork()];
+        std::thread::scope(|scope| {
+            for token in tokens {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    begin(token);
+                    barrier.wait(); // both writers are live at once
+                    write("bug/shared");
+                    end(token);
+                });
+            }
+        });
+        for token in tokens {
+            join(token);
+        }
+        let findings = checker::check_events("race/planted", &test_support::drain_own());
+        assert!(
+            findings
+                .diagnostics()
+                .iter()
+                .any(|d| d.code.code == "X001" && d.span.to_string().contains("bug/shared")),
+            "{}",
+            findings.to_table()
+        );
     }
 
     #[test]

@@ -8,10 +8,16 @@
 //! and on the second panic records a [`JobFailure`] carrying the job's label
 //! and panic message while every other job runs to completion. Results come
 //! back positionally so callers can correlate outputs with inputs.
+//!
+//! The scheduler is race-free by ownership rather than by locking: each
+//! scoped worker collects its own results and failures and returns them
+//! through its join handle, and the submitting thread scatters them into
+//! place. Workers share only atomics (the job cursor and two progress
+//! counters), and `J: Fn + Sync` stops a job from mutating captured state
+//! without synchronization of its own.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
 use simmetrics::flight;
@@ -127,6 +133,20 @@ impl Scheduler {
     /// retried once, and a second panic records a failure labelled
     /// `label(i)`. `progress` is invoked after every job settles (from
     /// worker threads — keep it cheap and reentrant).
+    ///
+    /// A panic that escapes `catch_unwind` — one raised by `label` or
+    /// `progress` — is not a job failure: it propagates to the caller with
+    /// its original payload once every worker has stopped.
+    ///
+    /// Jobs run concurrently, so a job may not write to captured state
+    /// without synchronizing; this does not compile:
+    ///
+    /// ```compile_fail
+    /// use simstore::scheduler::Scheduler;
+    ///
+    /// let mut seen: Vec<usize> = Vec::new();
+    /// Scheduler::new(2).run(4, |i| i.to_string(), |i| seen.push(i), |_| {});
+    /// ```
     pub fn run<T, J, L, P>(&self, total: usize, label: L, job: J, progress: P) -> RunReport<T>
     where
         T: Send,
@@ -137,157 +157,124 @@ impl Scheduler {
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let failed = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
-        let failures: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
         metrics::queue_depth().add(total as i64);
+        let workers = self.workers.min(total.max(1));
         // The batch span nests under whatever the submitting thread has
         // open (the suite-run root); its context is copied to every worker
         // so per-job spans join the same trace across thread boundaries.
         let mut batch_span = simtrace::span("sched/batch");
-        batch_span.arg("workers", self.workers.min(total.max(1)));
+        batch_span.arg("workers", workers);
         batch_span.arg("jobs", total);
         let batch_ctx = batch_span.context();
         // Profile frames are per-thread context: the batch frame covers the
         // submitting thread; workers open their own job frames below, so
         // engine samples from a worker fold under that worker's job label.
         let _batch_frame = simprof::frame("sched/batch");
-        // One rendezvous token per worker: simrace needs explicit
-        // fork/begin/end/join edges to order worker writes against the
-        // parent's result collection (all no-ops while checking is off).
-        let worker_count = self.workers.min(total.max(1));
-        let tokens: Vec<simrace::ForkToken> = (0..worker_count).map(|_| simrace::fork()).collect();
-        thread::scope(|scope| {
-            let (next, done, failed) = (&next, &done, &failed);
-            let (slots, failures) = (&slots, &failures);
-            let (label, job, progress) = (&label, &job, &progress);
-            for &token in &tokens {
-                scope.spawn(move || {
-                    simrace::begin(token);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
+        // Each worker owns what it produces and hands it back through
+        // `join`; the only state workers share is the cursor and the two
+        // progress counters.
+        let work = || {
+            let mut values: Vec<(usize, T)> = Vec::new();
+            let mut failures: Vec<JobFailure> = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= total {
+                    break;
+                }
+                // Flight breadcrumbs carry the job label (the pair id in the
+                // pipeline), so a panic dump names what was in flight. Label
+                // formatting is skipped entirely while metrics are disabled.
+                if simmetrics::is_enabled() {
+                    flight::note("job-start", label(i));
+                }
+                let mut job_span = simtrace::child_of(batch_ctx, "sched/job");
+                if job_span.is_recording() {
+                    job_span.arg("pair", label(i));
+                    job_span.arg("index", i);
+                }
+                // Label formatting only when profiling is on; the bracketed
+                // pair label folds each pair's engine samples separately in
+                // the flamegraph.
+                let _job_frame = if simprof::is_enabled() {
+                    Some(simprof::frame(&format!("sched/job [{}]", label(i))))
+                } else {
+                    None
+                };
+                let timer = metrics::job_wall_micros().start_timer();
+                let mut outcome = None;
+                let mut message = String::new();
+                for attempt in 0..2 {
+                    // The job span is this thread's current context while
+                    // held, so the attempt (and anything the job itself
+                    // opens) nests under it automatically.
+                    let mut attempt_span = simtrace::span("sched/attempt");
+                    match catch_unwind(AssertUnwindSafe(|| job(i))) {
+                        Ok(value) => {
+                            outcome = Some(value);
                             break;
                         }
-                        // Flight breadcrumbs carry the job label (the pair id
-                        // in the pipeline), so a panic dump names what was in
-                        // flight. Label formatting is skipped entirely while
-                        // metrics are disabled.
-                        if simmetrics::is_enabled() {
-                            flight::note("job-start", label(i));
-                        }
-                        let mut job_span = simtrace::child_of(batch_ctx, "sched/job");
-                        if job_span.is_recording() {
-                            job_span.arg("pair", label(i));
-                            job_span.arg("index", i);
-                        }
-                        // Label formatting only when profiling is on; the
-                        // bracketed pair label folds each pair's engine
-                        // samples separately in the flamegraph.
-                        let _job_frame = if simprof::is_enabled() {
-                            Some(simprof::frame(&format!("sched/job [{}]", label(i))))
-                        } else {
-                            None
-                        };
-                        let timer = metrics::job_wall_micros().start_timer();
-                        let mut outcome = None;
-                        let mut message = String::new();
-                        for attempt in 0..2 {
-                            // The job span is this thread's current context
-                            // while held, so the attempt (and anything the job
-                            // itself opens) nests under it automatically.
-                            let mut attempt_span = simtrace::span("sched/attempt");
-                            match catch_unwind(AssertUnwindSafe(|| job(i))) {
-                                Ok(value) => {
-                                    outcome = Some(value);
-                                    break;
+                        Err(payload) => {
+                            message = panic_message(payload.as_ref());
+                            attempt_span.set_error(&message);
+                            metrics::job_panics().inc();
+                            if attempt == 0 {
+                                metrics::job_retries().inc();
+                                if job_span.is_recording() {
+                                    job_span.arg("retried", true);
                                 }
-                                Err(payload) => {
-                                    message = panic_message(payload.as_ref());
-                                    attempt_span.set_error(&message);
-                                    metrics::job_panics().inc();
-                                    if attempt == 0 {
-                                        metrics::job_retries().inc();
-                                        if job_span.is_recording() {
-                                            job_span.arg("retried", true);
-                                        }
-                                        if simmetrics::is_enabled() {
-                                            flight::note("job-retry", label(i));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        drop(timer);
-                        metrics::jobs().inc();
-                        metrics::queue_depth().sub(1);
-                        if outcome.is_none() {
-                            job_span.set_error(&message);
-                        }
-                        drop(job_span);
-                        match outcome {
-                            Some(value) => {
-                                // A previous panic cannot have poisoned slot i:
-                                // jobs run outside any lock and each slot is
-                                // touched exactly once.
-                                let mut slot =
-                                    slots[i].lock().unwrap_or_else(|poison| poison.into_inner());
-                                // Declared after `slot`, so the release event
-                                // lands before the real unlock on drop.
-                                let _held = simrace::exclusive_held(|| format!("sched/slot:{i}"));
-                                if simrace::is_enabled() {
-                                    simrace::write(&format!("sched/slot:{i}"));
-                                }
-                                *slot = Some(value);
-                            }
-                            None => {
-                                failed.fetch_add(1, Ordering::Relaxed);
                                 if simmetrics::is_enabled() {
-                                    flight::note("job-failed", format!("{}: {message}", label(i)));
+                                    flight::note("job-retry", label(i));
                                 }
-                                let mut list =
-                                    failures.lock().unwrap_or_else(|poison| poison.into_inner());
-                                let _held =
-                                    simrace::exclusive_held(|| "sched/failures".to_string());
-                                if simrace::is_enabled() {
-                                    simrace::write("sched/failures");
-                                }
-                                list.push(JobFailure {
-                                    index: i,
-                                    label: label(i),
-                                    message,
-                                });
                             }
                         }
-                        progress(Progress {
-                            done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                            total,
-                            failed: failed.load(Ordering::Relaxed),
+                    }
+                }
+                drop(timer);
+                metrics::jobs().inc();
+                metrics::queue_depth().sub(1);
+                if outcome.is_none() {
+                    job_span.set_error(&message);
+                }
+                drop(job_span);
+                match outcome {
+                    Some(value) => values.push((i, value)),
+                    None => {
+                        failed.fetch_add(1, Ordering::Relaxed);
+                        if simmetrics::is_enabled() {
+                            flight::note("job-failed", format!("{}: {message}", label(i)));
+                        }
+                        failures.push(JobFailure {
+                            index: i,
+                            label: label(i),
+                            message,
                         });
                     }
-                    simrace::end(token);
+                }
+                progress(Progress {
+                    done: done.fetch_add(1, Ordering::Relaxed) + 1,
+                    total,
+                    failed: failed.load(Ordering::Relaxed),
                 });
             }
-        });
-        for token in tokens {
-            simrace::join(token);
-        }
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                if simrace::is_enabled() {
-                    simrace::read(&format!("sched/slot:{i}"));
+            (values, failures)
+        };
+        let mut results: Vec<Option<T>> = (0..total).map(|_| None).collect();
+        let mut failures = Vec::new();
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            for handle in handles {
+                // A panic outside `catch_unwind` (in `label` or `progress`)
+                // reaches the caller with its own payload; the scope joins
+                // the remaining workers before it propagates.
+                let (values, worker_failures) = handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload));
+                for (i, value) in values {
+                    results[i] = Some(value);
                 }
-                slot.into_inner()
-                    .unwrap_or_else(|poison| poison.into_inner())
-            })
-            .collect();
-        if simrace::is_enabled() {
-            simrace::read("sched/failures");
-        }
-        let mut failures = failures
-            .into_inner()
-            .unwrap_or_else(|poison| poison.into_inner());
+                failures.extend(worker_failures);
+            }
+        });
         // Label-first ordering keeps failure reports stable across thread
         // interleavings even if two jobs ever share an index space (e.g.
         // merged batches); index breaks ties deterministically.
@@ -401,9 +388,11 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let report = Scheduler::available().run(0, |i| i.to_string(), |i| i, |_| {});
-        assert!(report.results.is_empty());
-        assert!(report.failures.is_empty());
+        for sched in [Scheduler::available(), Scheduler::new(4)] {
+            let report = sched.run(0, |i| i.to_string(), |i| i, |_| {});
+            assert!(report.results.is_empty());
+            assert!(report.failures.is_empty());
+        }
     }
 
     #[test]
@@ -440,91 +429,78 @@ mod tests {
         assert_eq!(order, [(3, "pair-6"), (1, "pair-8")]);
     }
 
-    /// Runs a real scheduler batch with simrace recording on and returns
-    /// the happens-before findings alongside the batch report.
-    fn checked_run<T, J>(workers: usize, total: usize, job: J) -> (RunReport<T>, simcheck::Report)
-    where
-        T: Send,
-        J: Fn(usize) -> T + Sync,
-    {
-        let _on = simrace::test_support::enabled();
-        let report = Scheduler::new(workers).run(total, |i| format!("job-{i}"), job, |_| {});
-        let events = simrace::test_support::drain_own();
-        assert!(
-            total == 0 || !events.is_empty(),
-            "instrumentation must record something for a non-empty batch"
-        );
-        (
-            report,
-            simrace::checker::check_events("sched/live", &events),
-        )
-    }
+    // Edge-case batch shapes: plain result and failure assertions here,
+    // and the inputs the miri and TSan CI jobs run the real threads under.
 
     #[test]
-    fn single_worker_serial_batch_is_checker_clean() {
-        let (report, findings) = checked_run(1, 5, |i| i * 3);
+    fn single_worker_serial_batch_completes() {
+        let report = Scheduler::new(1).run(5, |i| format!("job-{i}"), |i| i * 3, |_| {});
         assert!(report.failures.is_empty());
-        assert_eq!(report.results[4], Some(12));
-        assert!(findings.is_empty(), "{}", findings.to_table());
+        assert_eq!(report.results, [0, 3, 6, 9, 12].map(Some));
     }
 
     #[test]
-    fn fewer_jobs_than_workers_is_checker_clean() {
-        let (report, findings) = checked_run(8, 3, |i| i);
-        assert_eq!(report.results.iter().filter(|r| r.is_some()).count(), 3);
-        assert!(findings.is_empty(), "{}", findings.to_table());
-    }
-
-    #[test]
-    fn empty_batch_is_checker_clean() {
-        let (report, findings) = checked_run(4, 0, |i| i);
-        assert!(report.results.is_empty());
-        assert!(findings.is_empty(), "{}", findings.to_table());
-    }
-
-    #[test]
-    fn double_panic_failure_path_is_checker_clean() {
-        let (report, findings) = checked_run(4, 8, |i| {
-            if i % 3 == 0 {
-                panic!("always fails");
-            }
-            i
-        });
-        assert_eq!(report.failures.len(), 3);
-        assert!(findings.is_empty(), "{}", findings.to_table());
-    }
-
-    #[test]
-    fn contended_batch_is_checker_clean() {
-        let (report, findings) = checked_run(4, 64, |i| i.wrapping_mul(0x9e37));
+    fn fewer_jobs_than_workers_completes() {
+        let report = Scheduler::new(8).run(3, |i| format!("job-{i}"), |i| i, |_| {});
         assert!(report.failures.is_empty());
-        assert!(findings.is_empty(), "{}", findings.to_table());
+        assert_eq!(report.results, [Some(0), Some(1), Some(2)]);
     }
 
     #[test]
-    fn planted_unsynchronized_write_is_flagged() {
-        // Jobs on different workers write one shared name with no lock:
-        // the checker must flag X001 on a real multi-threaded run.
-        let _on = simrace::test_support::enabled();
-        let barrier = std::sync::Barrier::new(2);
-        Scheduler::new(2).run(
-            2,
-            |i| format!("racy-{i}"),
-            |_| {
-                barrier.wait(); // force both jobs onto distinct workers
-                simrace::write("bug/shared");
+    fn double_panic_failures_leave_their_slots_empty() {
+        let report = Scheduler::new(4).run(
+            8,
+            |i| format!("job-{i}"),
+            |i| {
+                if i % 3 == 0 {
+                    panic!("always fails");
+                }
+                i
             },
             |_| {},
         );
-        let findings =
-            simrace::checker::check_events("sched/live", &simrace::test_support::drain_own());
-        assert!(
-            findings
-                .diagnostics()
-                .iter()
-                .any(|d| d.code.code == "X001" && d.span.to_string().contains("bug/shared")),
-            "{}",
-            findings.to_table()
+        let failed: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
+        assert_eq!(failed, [0, 3, 6]);
+        assert!(report.failures.iter().all(|f| f.message == "always fails"));
+        for (i, r) in report.results.iter().enumerate() {
+            assert_eq!(*r, (i % 3 != 0).then_some(i));
+        }
+    }
+
+    #[test]
+    fn contended_batch_lands_every_result_in_its_slot() {
+        let report = Scheduler::new(4).run(
+            64,
+            |i| format!("job-{i}"),
+            |i| i.wrapping_mul(0x9e37),
+            |_| {},
+        );
+        assert!(report.failures.is_empty());
+        let expected: Vec<Option<usize>> = (0..64).map(|i| Some(i * 0x9e37)).collect();
+        assert_eq!(report.results, expected);
+    }
+
+    #[test]
+    fn panic_outside_the_job_reaches_the_caller() {
+        // `progress` runs outside `catch_unwind`: its panic is not a job
+        // failure and must surface with its own payload, not a generic
+        // "a scoped thread panicked".
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            Scheduler::new(2).run(
+                6,
+                |i| i.to_string(),
+                |i| i,
+                |p| {
+                    if p.done == 3 {
+                        panic!("progress callback exploded");
+                    }
+                },
+            )
+        }));
+        let payload = caught.expect_err("the callback's panic must propagate");
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "progress callback exploded"
         );
     }
 }

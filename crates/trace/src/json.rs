@@ -54,7 +54,7 @@ impl Value {
     /// The value as a non-negative integer, if it is a whole number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -349,6 +349,19 @@ mod tests {
         let items = v.get("a").and_then(Value::as_array).unwrap();
         assert_eq!(items[0].as_u64(), Some(1));
         assert_eq!(items[1].get("b").and_then(Value::as_str), Some("x"));
+    }
+
+    #[test]
+    fn as_u64_accepts_whole_numbers_only() {
+        assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        assert_eq!(parse("42.5").unwrap().as_u64(), None);
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        // `u64::MAX as f64` rounds up to 2^64, which does not fit in a u64.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            parse("18446744073709549568").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //!   (194 application–input pairs across test/train/ref).
 //! - [`cpu2006`] — the CPU2006 roster used for the comparison tables.
 //! - [`phases`] — multi-phase workloads for the phase-behaviour extension.
-//! - [`trace`] — compact binary (de)serialization of micro-op traces.
 //! - [`rng`] — the in-tree seeded PRNG (SplitMix64 + xoshiro256**) every
 //!   stochastic model draws from.
 //! - [`stablehash`] — process-stable content hashing of profiles and trace
@@ -54,4 +53,3 @@ pub mod profile;
 pub mod reuse;
 pub mod rng;
 pub mod stablehash;
-pub mod trace;

@@ -7,7 +7,7 @@
 //! - [`uarch_sim`] — cache / branch-predictor / pipeline simulator with perf-style counters.
 //! - [`stat_analysis`] — PCA, hierarchical clustering, Pareto analysis.
 //! - [`simstore`] — content-addressed result store + fault-tolerant scheduler.
-//! - [`simrace`] — happens-before race checker and schedule-exploration harness.
+//! - [`simrace`] — sync-event recorder and happens-before race checker.
 //! - [`simcheck`] — static model-analysis diagnostics (rule codes, spans, renderers).
 //! - [`perfmon`] — structured span/event observability with a JSONL sink.
 //! - [`simmetrics`] — process-wide metrics registry, exporters, and flight recorder.
