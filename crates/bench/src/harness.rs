@@ -12,7 +12,7 @@ use std::hint::black_box as std_black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use perfmon::json::{self, Value};
+use simcheck::json::{self, Value};
 
 /// Opaque value sink preventing the optimizer from deleting benched work.
 pub fn black_box<T>(v: T) -> T {

@@ -21,13 +21,19 @@
 //!   machine-readable JSON rendering ([`Report::to_json`]).
 //! - [`explain`] — the `--explain CODE` catalog: invariant, rationale, and
 //!   the paper figure/table the rule protects.
+//! - [`json`] — the workspace's one JSON codec: the [`json::Value`] tree,
+//!   a strict linear-time [`json::parse`], and the [`json::escape`] every
+//!   JSON writer uses (perfmon events, Chrome traces, run manifests,
+//!   `metrics.json`, `BENCH_results.json`, this crate's own renderer).
 //!
 //! The crate is deliberately dependency-free and domain-agnostic: rule
 //! *logic* lives next to the types it checks (`workload-synth` for P-rules,
 //! `uarch-sim` for C-rules, `workchar` for R-rules, `perfmon` for E-rules,
 //! `simprof` for F-rules);
-//! this crate owns the codes, severities, and renderers so every layer
-//! reports violations the same way.
+//! this crate owns the codes, severities, renderers and the JSON codec, so
+//! every layer reports violations the same way and reads and writes its
+//! artifacts through one parser. It sits below every other observability
+//! crate, which is why the codec lives here.
 //!
 //! # Example
 //!
@@ -47,6 +53,7 @@
 
 pub mod catalog;
 pub mod diag;
+pub mod json;
 pub mod render;
 
 pub use catalog::{codes, explain, find, suggest, Family, RuleCode, CATALOG};

@@ -88,20 +88,10 @@ pub fn json(report: &Report) -> String {
     out
 }
 
-/// Appends `s` as a JSON string literal, escaping per RFC 8259.
+/// Appends `s` as a JSON string literal.
 fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    out.push_str(&crate::json::escape(s));
     out.push('"');
 }
 
@@ -110,6 +100,7 @@ mod tests {
     use super::*;
     use crate::catalog::codes;
     use crate::diag::{Diagnostic, Span};
+    use crate::json::Value;
 
     fn sample() -> Report {
         let mut r = Report::new();
@@ -158,5 +149,27 @@ mod tests {
         assert!(j.contains("\\n"), "{j}");
         assert!(j.contains("\"errors\":1"), "{j}");
         assert!(j.contains("\"field\":null"), "{j}");
+
+        // Every hostile string survives a round trip through the parser.
+        let controls: String = (0..0x20u8).map(char::from).collect();
+        let hostile = format!("q\"b\\s{controls}😀");
+        r.push(Diagnostic::new(
+            &codes::P004,
+            Span::field(&hostile, &hostile),
+            hostile.clone(),
+        ));
+        let doc = crate::json::parse(&json(&r)).expect("renderer writes valid JSON");
+        let diags = doc.get("diagnostics").and_then(Value::as_array).unwrap();
+        let parsed = diags
+            .iter()
+            .find(|d| d.get("code").and_then(Value::as_str) == Some("P004"))
+            .unwrap();
+        for key in ["object", "field", "message"] {
+            assert_eq!(
+                parsed.get(key).and_then(Value::as_str),
+                Some(hostile.as_str())
+            );
+        }
+        assert_eq!(doc.get("errors").and_then(Value::as_u64), Some(2));
     }
 }

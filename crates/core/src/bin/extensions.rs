@@ -364,14 +364,10 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         root.finish();
         let spans = simtrace::drain();
         let dir = opts.results_dir.join("traces");
-        let (json_path, bin_path) = simtrace::export(&dir, "extensions", &spans)?;
+        let json_path = simtrace::export(&dir, "extensions", &spans)?;
         manifest.artifact(
             artifact_kind::TRACE_JSON,
             rel_artifact(&opts.results_dir, &json_path),
-        );
-        manifest.artifact(
-            artifact_kind::TRACE_BIN,
-            rel_artifact(&opts.results_dir, &bin_path),
         );
         eprintln!(
             "wrote {} trace spans to {} (load in Perfetto, or run trace-report)",

@@ -385,10 +385,7 @@ fn print_usage() {
     println!("  --dash           audit run manifests under results/runs (D-rules)");
     println!("  --runs-dir DIR   audit run manifests in DIR (D-rules)");
     println!("  --events FILE    audit a perfmon JSONL stream (E-rules; repeatable)");
-    println!(
-        "  --trace FILE     audit a simtrace artifact, .trace.json or .trace.bin \
-         (T-rules; repeatable)"
-    );
+    println!("  --trace FILE     audit a simtrace .trace.json artifact (T-rules; repeatable)");
     println!("  --prof FILE      audit a simprof .prof artifact (F-rules; repeatable)");
     println!("  --quick          use the reduced-fidelity run configuration");
     println!("  --json           machine-readable diagnostics document on stdout");

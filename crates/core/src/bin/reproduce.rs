@@ -439,14 +439,10 @@ fn real_main(opts: Options) -> Result<()> {
         root.finish();
         let spans = simtrace::drain();
         let dir = opts.shared.results_dir.join("traces");
-        let (json_path, bin_path) = simtrace::export(&dir, "reproduce", &spans)?;
+        let json_path = simtrace::export(&dir, "reproduce", &spans)?;
         manifest.artifact(
             artifact_kind::TRACE_JSON,
             rel_artifact(&opts.shared.results_dir, &json_path),
-        );
-        manifest.artifact(
-            artifact_kind::TRACE_BIN,
-            rel_artifact(&opts.shared.results_dir, &bin_path),
         );
         eprintln!(
             "wrote {} trace spans to {} (load in Perfetto, or run trace-report)",

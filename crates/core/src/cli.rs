@@ -196,7 +196,7 @@ impl PipelineFlags {
             "  --timeline       sample a per-pair counter timeline (CSV + SVG under results/timelines)\n",
             "  --simpoint       run the representative-interval campaign (records under results/simpoints)\n",
             "  --events FILE    write perfmon span/event records as JSONL to FILE\n",
-            "  --trace          record a causal span trace under results/traces/ (Perfetto JSON + binary)\n",
+            "  --trace          record a causal span trace under results/traces/ (Perfetto JSON)\n",
             "  --race           record sync events and audit the run for data races (X-rules)\n",
             "  --profile        record an op-clocked statistical profile under results/profiles/\n",
             "                   (.prof artifact + folded stacks + flamegraph SVG; implies --no-cache)\n",

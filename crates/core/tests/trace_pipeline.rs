@@ -42,7 +42,7 @@ fn tracing_does_not_perturb_characterization_results() {
 }
 
 #[test]
-fn exported_pipeline_trace_round_trips_through_both_formats() {
+fn exported_pipeline_trace_round_trips_through_chrome_json() {
     let spans = {
         let _on = simtrace::test_support::enabled();
         let root = simtrace::root("run/test");
@@ -56,12 +56,11 @@ fn exported_pipeline_trace_round_trips_through_both_formats() {
 
     let dir = std::env::temp_dir().join(format!("workchar-trace-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (json_path, bin_path) = simtrace::export(&dir, "it", &spans).expect("export");
+    let json_path = simtrace::export(&dir, "it", &spans).expect("export");
+    assert_eq!(json_path, dir.join("it.trace.json"));
 
     let from_json = simtrace::load(&json_path).expect("load json");
     assert_eq!(from_json, spans, "Chrome JSON export round-trips exactly");
-    let from_bin = simtrace::load(&bin_path).expect("load binary");
-    assert_eq!(from_bin, spans, "binary export round-trips exactly");
 
     // The emitted artifact must also be lint-clean under the T-rules.
     let report = simtrace::lint::check_trace("it.trace.json", &from_json);

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use perfmon::json::{self, Value};
+use simcheck::json::{self, Value};
 use simtrace::SpanRecord;
 
 use crate::manifest::{kind, RunManifest};

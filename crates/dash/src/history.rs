@@ -9,7 +9,7 @@
 
 use std::path::Path;
 
-use perfmon::json::{self, Value};
+use simcheck::json::{self, Value};
 
 /// One bench run's medians.
 #[derive(Debug, Clone, PartialEq)]

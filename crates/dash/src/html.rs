@@ -10,6 +10,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+// HTML text and attribute values need the same five escapes as SVG.
+use simreport::svg::escape as esc;
+
 use crate::correlate::{correlate, CorrelatedRun};
 use crate::history::read_history;
 use crate::manifest::{kind, RunManifest};
@@ -21,22 +24,6 @@ pub struct ReportOptions {
     /// baseline in CI). Without it the profile section shows the top
     /// self-weight frames of this run only.
     pub baseline_prof: Option<PathBuf>,
-}
-
-/// Escapes text for HTML content and attribute values.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the dashboard for `manifest` into one self-contained HTML
@@ -395,11 +382,6 @@ fn bench_section(out: &mut String, results_dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn esc_covers_html_specials() {
-        assert_eq!(esc("a<b>&\"c'\u{e9}"), "a&lt;b&gt;&amp;&quot;c&#39;\u{e9}");
-    }
 
     #[test]
     fn render_degrades_gracefully_without_artifacts() {

@@ -18,7 +18,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use perfmon::json::{self, Value};
+use simcheck::json::{self, Value};
 use simstore::StableHasher;
 
 /// Manifest schema this build reads and writes.
@@ -34,8 +34,6 @@ pub mod kind {
     pub const EVENTS: &str = "events";
     /// Chrome Trace Event JSON export.
     pub const TRACE_JSON: &str = "trace-json";
-    /// Compact SIMTRC01 binary trace.
-    pub const TRACE_BIN: &str = "trace-bin";
     /// Versioned `.prof` profile artifact.
     pub const PROFILE: &str = "profile";
     /// Collapsed `path weight` folded stacks.

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
-use crate::json::escape;
+use simcheck::json::escape;
 
 /// Ring capacity: the dump holds at most this many most-recent events.
 pub const CAPACITY: usize = 256;

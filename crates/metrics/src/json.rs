@@ -11,10 +11,13 @@
 //! ]}
 //! ```
 //!
-//! The workspace builds fully offline, so the escaper lives here rather
-//! than behind a dependency (same stance as `perfmon::json`).
+//! Strings go through the workspace's one JSON escaper,
+//! `simcheck::json::escape`, and the tests read the document back with
+//! `simcheck::json::parse`.
 
 use std::fmt::Write as _;
+
+use simcheck::json::escape;
 
 use crate::{SeriesValue, Snapshot};
 
@@ -95,30 +98,11 @@ pub fn render(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Escapes `s` for inclusion inside a JSON string literal (no surrounding
-/// quotes).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{test_support, Registry};
+    use simcheck::json::Value;
 
     #[test]
     fn snapshot_json_carries_values_and_quantiles() {
@@ -162,5 +146,23 @@ mod tests {
             text.contains("\"labels\":{\"k\":\"a\\\"b\\\\c\\nd\"}"),
             "{text}"
         );
+
+        // Every hostile label key and value survives a round trip through
+        // the parser.
+        let controls: String = (0..0x20u8).map(char::from).collect();
+        let hostile = format!("q\"b\\s{controls}😀");
+        r.counter_with(
+            "t_json_hostile_total",
+            "x",
+            &[(hostile.as_str(), hostile.as_str())],
+        );
+        let doc = simcheck::json::parse(&render(&r.snapshot())).expect("valid JSON");
+        let metrics = doc.get("metrics").and_then(Value::as_array).unwrap();
+        let series = metrics
+            .iter()
+            .find(|m| m.get("name").and_then(Value::as_str) == Some("t_json_hostile_total"))
+            .unwrap();
+        let labels = series.get("labels").and_then(Value::as_object).unwrap();
+        assert_eq!(labels, [(hostile.clone(), Value::String(hostile.clone()))]);
     }
 }

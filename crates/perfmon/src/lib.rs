@@ -32,8 +32,7 @@
 //! - `mem_hwm_bytes` (optional, number): process peak RSS at finish.
 //! - `fields` (optional, object): stage-specific scalars/strings.
 
-pub mod json;
-
+use simcheck::json;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, LineWriter, Write};

@@ -282,8 +282,8 @@ mod tests {
     #[test]
     fn escape_covers_xml_specials() {
         assert_eq!(
-            escape("a&b<c>\"d\"'e'"),
-            "a&amp;b&lt;c&gt;&quot;d&quot;&#39;e&#39;"
+            escape("a&b<c>\"d\"'e'\u{e9}"),
+            "a&amp;b&lt;c&gt;&quot;d&quot;&#39;e&#39;\u{e9}"
         );
     }
 }

@@ -14,8 +14,8 @@
 //! `args` becomes [`ArgValue::U64`], anything else [`ArgValue::F64`] —
 //! so `U64` args round-trip as themselves and floats keep their value.
 
-use crate::json::{self, Value};
 use crate::{ArgValue, SpanRecord};
+use simcheck::json::{self, Value};
 use std::fmt::Write as _;
 
 /// Nanoseconds → microseconds with three decimals, exact for ns < ~2^51.

@@ -16,8 +16,9 @@
 //!   collector on drop. Within one thread, [`span`] nests automatically
 //!   under the innermost live guard.
 //! - [`chrome`] — Chrome Trace Event JSON, loadable in Perfetto or
-//!   `about://tracing`, plus a strict parser that round-trips it.
-//! - [`binfmt`] — a compact versioned binary codec for the same records.
+//!   `about://tracing`, plus a strict parser that round-trips it exactly
+//!   (nanosecond timestamps included). It is the one on-disk trace format;
+//!   the JSON itself goes through `simcheck::json`.
 //! - [`analyze`] — self-time aggregation, critical-path extraction,
 //!   worker-utilization accounting, and differential trace comparison
 //!   with a regression gate (the `trace-report` binary drives it).
@@ -29,9 +30,7 @@
 //! read, no lock — so the engine path is bit-identical with tracing off.
 
 pub mod analyze;
-pub mod binfmt;
 pub mod chrome;
-pub mod json;
 pub mod lint;
 
 use std::cell::Cell;
@@ -369,43 +368,29 @@ pub fn drain() -> Vec<SpanRecord> {
     spans
 }
 
-/// Writes `<name>.trace.json` (Chrome Trace Event, Perfetto-loadable) and
-/// `<name>.trace.bin` (the compact binary codec) under `dir`, creating it
-/// if needed. Returns both paths.
+/// Writes `<name>.trace.json` (Chrome Trace Event, Perfetto-loadable)
+/// under `dir`, creating it if needed. Returns its path.
 ///
 /// # Errors
 ///
-/// Any filesystem error creating the directory or writing the files.
-pub fn export(dir: &Path, name: &str, spans: &[SpanRecord]) -> io::Result<(PathBuf, PathBuf)> {
+/// Any filesystem error creating the directory or writing the file.
+pub fn export(dir: &Path, name: &str, spans: &[SpanRecord]) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let json_path = dir.join(format!("{name}.trace.json"));
-    let bin_path = dir.join(format!("{name}.trace.bin"));
-    std::fs::write(&json_path, chrome::render(spans))?;
-    std::fs::write(&bin_path, binfmt::encode(spans))?;
-    Ok((json_path, bin_path))
+    let path = dir.join(format!("{name}.trace.json"));
+    std::fs::write(&path, chrome::render(spans))?;
+    Ok(path)
 }
 
-/// Loads a trace file in either on-disk format: Chrome Trace Event JSON
-/// (sniffed by a leading `{` or `[`) or the compact binary codec.
+/// Loads a Chrome Trace Event JSON file written by [`export`].
 ///
 /// # Errors
 ///
-/// `io::ErrorKind::InvalidData` when the bytes parse as neither format,
-/// plus any underlying read error.
+/// `io::ErrorKind::InvalidData` when the bytes are not UTF-8 or not a
+/// trace [`chrome::parse`] accepts, plus any underlying read error.
 pub fn load(path: &Path) -> io::Result<Vec<SpanRecord>> {
-    let bytes = std::fs::read(path)?;
-    let first = bytes
-        .iter()
-        .find(|b| !b.is_ascii_whitespace())
-        .copied()
-        .unwrap_or(0);
-    if first == b'{' || first == b'[' {
-        let text = String::from_utf8(bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        chrome::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    } else {
-        binfmt::decode(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let text = String::from_utf8(std::fs::read(path)?).map_err(|e| invalid(e.to_string()))?;
+    chrome::parse(&text).map_err(invalid)
 }
 
 /// Test-only coordination: the tracer is process-global, so tests that
@@ -567,5 +552,28 @@ mod tests {
         let c_ctx = c.context();
         drop(c);
         assert_ne!(c_ctx.trace_id, b_ctx.trace_id, "fresh trace once a closed");
+    }
+
+    #[test]
+    fn export_writes_only_chrome_json_and_load_reads_only_json() {
+        let dir = std::env::temp_dir().join(format!("simtrace-export-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = export(&dir, "t", &[]).unwrap();
+        assert_eq!(path, dir.join("t.trace.json"));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(load(&path).unwrap(), []);
+
+        // Anything but a Chrome trace, a binary trace header included, is
+        // invalid data.
+        for bytes in [
+            &b"SIMTRC01\x01\x00"[..],
+            b"\xff\xfe",
+            b"{\"traceEvents\": 3}",
+        ] {
+            std::fs::write(&path, bytes).unwrap();
+            let err = load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bytes:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

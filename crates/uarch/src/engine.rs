@@ -1523,19 +1523,34 @@ mod tests {
     fn profile_samples_cover_the_run() {
         let interval = 1_000u64;
         let n = 30_000u64;
+        // Engines of concurrently running tests sample into the same
+        // collector; this test's samples sit under its own root frame.
+        const ROOT: &str = "test/profile-cover";
         let profile = {
             let _prof = simprof::test_support::enabled(interval);
+            let root = simprof::frame(ROOT);
             let mut e = engine();
             e.execute(
                 from_iter(phased_ops(n)),
                 &ExecPlan::from(RunOptions::new().warmup(5_000)),
             );
+            drop(root);
             simprof::drain()
         };
+        let own: Vec<_> = profile
+            .samples
+            .iter()
+            .filter(|s| profile.stack_names(s).is_some_and(|names| names[0] == ROOT))
+            .collect();
         // One sample per interval, each carrying the interval's weight.
-        assert_eq!(profile.total_weight(), (n / interval) * interval);
-        assert_eq!(profile.samples.len(), (n / interval) as usize);
+        assert_eq!(
+            own.iter().map(|s| s.weight).sum::<u64>(),
+            (n / interval) * interval
+        );
+        assert_eq!(own.len(), (n / interval) as usize);
         let folded = profile.folded();
+        let folded: Vec<_> = folded.lines().filter(|l| l.starts_with(ROOT)).collect();
+        let folded = folded.join("\n");
         assert!(folded.contains("engine/run;seg/warmup;"), "{folded}");
         assert!(folded.contains("engine/run;seg/measured;"), "{folded}");
         // The phased stream streams loads first: the memory leaves must
