@@ -14,7 +14,7 @@ use uarch_sim::branch::PredictorKind;
 use uarch_sim::cache::Cache;
 use uarch_sim::config::{CacheConfig, SystemConfig};
 use uarch_sim::engine::{Engine, WorkloadHints};
-use uarch_sim::exec::ExecPlan;
+use uarch_sim::exec::{ExecPlan, UopBatch, UopSource};
 use uarch_sim::replacement::Policy;
 use uarch_sim::timeline::SamplerConfig;
 use workchar::phase::analyze_phases;
@@ -82,6 +82,16 @@ fn bench_paired<T, F: FnMut() -> T>(r: &mut Runner, anchor: Option<u64>, name: &
     }
 }
 
+/// A source that implements only `fill`, like any source without a native
+/// `drive`.
+struct FillOnly<S>(S);
+
+impl<S: UopSource> UopSource for FillOnly<S> {
+    fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
+        self.0.fill(batch, max)
+    }
+}
+
 fn bench_engine(r: &mut Runner) {
     let config = SystemConfig::haswell_e5_2650l_v3();
     // The group's anchor calibrates the batch size; every paired variant
@@ -91,6 +101,16 @@ fn bench_engine(r: &mut Runner) {
             TraceGenerator::new(&Behavior::default(), &config, 7, 100_000).expect("valid behavior");
         let mut engine = Engine::new(&config);
         black_box(engine.execute(gen, &ExecPlan::new()))
+    });
+    // Paired with engine_run_100k above: the same generator behind a
+    // fill-only wrapper, so the engine takes the default `drive` (fill the
+    // batch arena, then replay it into the sink). The ratio of the two
+    // medians is what the generator's direct `drive` saves.
+    bench_paired(r, anchor, "engine_run_100k_via_fill", || {
+        let gen =
+            TraceGenerator::new(&Behavior::default(), &config, 7, 100_000).expect("valid behavior");
+        let mut engine = Engine::new(&config);
+        black_box(engine.execute(FillOnly(gen), &ExecPlan::new()))
     });
     // Paired with engine_run_100k above: the ratio of the two medians is the
     // interval-sampling overhead the perfmon design budgets at <5%.

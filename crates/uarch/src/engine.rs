@@ -5,21 +5,22 @@
 //! This is the stand-in for "run the benchmark under `perf stat` on the
 //! Haswell box" in the paper's methodology.
 //!
-//! Execution is batched (see [`crate::exec`]): the engine pulls flat SoA
-//! µop batches from a [`UopSource`], splits each batch into segments at
-//! warmup and sampler boundaries, and runs two tight passes per segment —
-//! a fetch/memory pass in op order (L1I probes share the L3 with the data
-//! path, so their interleaving matters) and a branch-predictor pass whose
-//! state is disjoint from the caches. Counters accumulate in per-segment
-//! tallies flushed once per segment. [`Engine::run_reference`] keeps the
-//! original one-op-at-a-time loop as the executable specification; the
-//! batched path reproduces its counters bit-for-bit (pinned by this
-//! crate's tests and the roster-wide differential suite).
+//! Execution is source-driven (see [`crate::exec`]): the engine hands a
+//! [`UopSource`] its per-op execution body — a private [`UopSink`] holding
+//! fetch state, the cache hierarchy, the predictor, the indirect-target
+//! model and the counter tallies — and the source calls it once per µop.
+//! A segment loop asks for ops in segments cut at the warmup edge, sampler
+//! interval edges and the plan's `batch_ops`, and flushes each counted
+//! segment's tallies once, so no per-op boundary check reaches the sink.
+//! [`Engine::run_reference`] keeps the original one-op-at-a-time loop as
+//! the executable specification; the sink reproduces its counters
+//! bit-for-bit (pinned by this crate's tests and the roster-wide
+//! differential suite).
 
 use crate::branch::{target_is_static, BranchPredictor, PredictorImpl, PredictorKind};
 use crate::config::SystemConfig;
 use crate::counters::{Event, PerfSession};
-use crate::exec::{from_iter, ExecPlan, UopBatch, UopSource, KIND_ALU, KIND_BRANCH_BASE};
+use crate::exec::{from_iter, ExecPlan, UopBatch, UopSink, UopSource};
 use crate::hierarchy::{Hierarchy, ServedBy};
 use crate::microop::{BranchKind, MicroOp};
 use crate::pipeline::{estimate_cycles, CycleBreakdown, TimingInputs};
@@ -215,16 +216,16 @@ impl Tallies {
     }
 }
 
-/// One sweep over a segment, monomorphized over the predictor: instruction
-/// fetch (which shares the L3 with the data path, so it stays interleaved
-/// with loads and stores), demand accesses, branch classification,
-/// conditional direction prediction, the indirect target-miss model, and
-/// taken-branch fetch redirects.
+/// The engine's one per-op execution body, monomorphized over the
+/// predictor: instruction fetch (which shares the L3 with the data path,
+/// so it stays interleaved with loads and stores), demand accesses, branch
+/// classification, conditional direction prediction, the indirect
+/// target-miss model, and taken-branch fetch redirects.
 ///
-/// The per-op order is exactly the scalar reference order (see
-/// [`Engine::run_reference`]); monomorphizing over `P` removes virtual
-/// dispatch from the conditional-branch path, and processing the batch as
-/// one sweep touches each SoA lane once. Within one branch op the
+/// Sources drive it one op at a time through [`UopSink`]; the per-op
+/// order is exactly the scalar reference order (see
+/// [`Engine::run_reference`]). Monomorphizing over `P` removes virtual
+/// dispatch from the conditional-branch path. Within one branch op the
 /// predictor update and the fetch redirect commute — they touch disjoint
 /// state — so their relative order is immaterial to bit-identity.
 ///
@@ -234,134 +235,196 @@ impl Tallies {
 /// code is compiled out entirely, so the unprofiled monomorphization is
 /// the exact pre-simprof hot loop. The hook reads engine state but never
 /// writes it, so counters are bit-identical either way.
-///
-/// The argument list is wide on purpose: the callers hold `&mut self`, so
-/// the disjoint engine fields must be passed as separate borrows.
-#[allow(clippy::too_many_arguments)]
-fn exec_pass<P: BranchPredictor, const PROFILE: bool>(
-    hierarchy: &mut Hierarchy,
-    fs: &mut FetchState,
-    predictor: &mut P,
-    kinds: &[u8],
-    addrs: &[u64],
-    bypass: Option<(u64, u64)>,
-    ind: &mut IndirectState,
+struct ExecSink<'a, P, const PROFILE: bool> {
+    hierarchy: &'a mut Hierarchy,
+    predictor: &'a mut P,
+    /// Lent to sources without a native `drive` (see [`UopSink::lend_batch`]).
+    arena: &'a mut UopBatch,
+    fs: FetchState,
+    ind: IndirectState,
     indirect_target_miss_rate: f64,
-    t: &mut Tallies,
-    prof: &mut ProfState,
-) {
-    // An empty range never matches, so the per-load check is branch-free
-    // on the hint's presence.
-    let (bypass_lo, bypass_hi) = bypass.unwrap_or((1, 0));
-    for (&k, &operand) in kinds.iter().zip(addrs) {
-        // Instruction fetch: sequential 4-byte advance within the code
-        // footprint; only line crossings touch the L1I.
+    /// L2-bypass address range; an empty range (lo > hi) never matches, so
+    /// the per-load check is branch-free on the hint's presence.
+    bypass_lo: u64,
+    bypass_hi: u64,
+    /// This segment's tallies (see [`drive_segments`]).
+    t: Tallies,
+    prof: ProfState,
+}
+
+impl<'a, P: BranchPredictor, const PROFILE: bool> ExecSink<'a, P, PROFILE> {
+    fn new(
+        hierarchy: &'a mut Hierarchy,
+        predictor: &'a mut P,
+        arena: &'a mut UopBatch,
+        hints: &WorkloadHints,
+        prof: ProfState,
+    ) -> Self {
+        let (bypass_lo, bypass_hi) = hints.l2_bypass_range.unwrap_or((1, 0));
+        ExecSink {
+            hierarchy,
+            predictor,
+            arena,
+            fs: FetchState::new(hints),
+            ind: IndirectState::default(),
+            indirect_target_miss_rate: hints.indirect_target_miss_rate,
+            bypass_lo,
+            bypass_hi,
+            t: Tallies::default(),
+            prof,
+        }
+    }
+
+    /// Instruction fetch: sequential 4-byte advance within the code
+    /// footprint; only line crossings touch the L1I.
+    #[inline(always)]
+    fn fetch(&mut self) {
+        let fs = &mut self.fs;
         fs.fetch_off = (fs.fetch_off + 4) & fs.code_mask;
         let fetch_pc = 0x40_0000 + fs.fetch_off;
         let line = fetch_pc >> 6;
         if line != fs.last_fetch_line {
-            hierarchy.fetch(fetch_pc);
+            self.hierarchy.fetch(fetch_pc);
             fs.last_fetch_line = line;
         }
-        let mut prof_level = simprof::LEVEL_NONE;
-        match k {
-            KIND_ALU => {}
-            crate::exec::KIND_LOAD => {
-                t.loads += 1;
-                let served = if operand >= bypass_lo && operand < bypass_hi {
-                    hierarchy.load_bypass_l2(operand)
-                } else {
-                    hierarchy.load(operand)
-                };
-                match served {
-                    ServedBy::L1 => t.l1h += 1,
-                    ServedBy::L2 => t.l2h += 1,
-                    ServedBy::L3 => t.l3h += 1,
-                    ServedBy::Memory => t.l3m += 1,
-                }
-                if PROFILE {
-                    prof_level = match served {
-                        ServedBy::L1 => simprof::LEVEL_L1,
-                        ServedBy::L2 => simprof::LEVEL_L2,
-                        ServedBy::L3 => simprof::LEVEL_L3,
-                        ServedBy::Memory => simprof::LEVEL_MEM,
-                    };
-                }
-            }
-            crate::exec::KIND_STORE => {
-                t.stores += 1;
-                hierarchy.store(operand);
-            }
-            _ => {
-                t.branches += 1;
-                let taken = (k - KIND_BRANCH_BASE) & 1 == 1;
-                match (k - KIND_BRANCH_BASE) >> 1 {
-                    0 => {
-                        t.cond += 1;
-                        if !predictor.predict_and_update(operand, taken) {
-                            t.mispredicts += 1;
-                        }
-                    }
-                    // Direct targets are predicted perfectly once decoded.
-                    1 => t.direct_jmp += 1,
-                    2 => t.direct_call += 1,
-                    3 => {
-                        // Indirect jump target: BTB miss modelled by the
-                        // hint rate, realized deterministically by
-                        // counting.
-                        t.indirect_jmp += 1;
-                        ind.seen += 1;
-                        let due = (ind.seen as f64 * indirect_target_miss_rate).floor() as u64;
-                        if due > ind.extra_mispredicts {
-                            ind.extra_mispredicts = due;
-                            t.mispredicts += 1;
-                        }
-                    }
-                    // Returns are served by the return-address stack,
-                    // which is essentially perfect for call-balanced code.
-                    _ => t.returns += 1,
-                }
-                // Taken branches redirect fetch — mostly loop-local (hot
-                // region), occasionally a far cross-function transfer
-                // through the full text footprint.
-                if taken {
-                    fs.taken_seen += 1;
-                    let h = operand
-                        .wrapping_add(fs.taken_seen)
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        >> 17;
-                    let mask = if fs.taken_seen.is_multiple_of(32) {
-                        fs.code_mask
-                    } else {
-                        fs.hot_code_mask
-                    };
-                    fs.fetch_off = h & mask;
-                    fs.last_fetch_line = u64::MAX;
-                }
-            }
-        }
+    }
+
+    /// Closes one op: the profiler's sample clock.
+    #[inline(always)]
+    fn tick(&mut self, prof_kind: u8, prof_level: u8) {
         if PROFILE {
+            let prof = &mut self.prof;
             prof.countdown -= 1;
             if prof.countdown == 0 {
                 prof.countdown = prof.interval;
                 // The sample stands for the whole interval that just
                 // elapsed, attributed to the op that closed it — standard
                 // statistical attribution, exact in aggregate.
-                let prof_kind = match k {
-                    KIND_ALU => simprof::KIND_ALU,
-                    crate::exec::KIND_LOAD => simprof::KIND_LOAD,
-                    crate::exec::KIND_STORE => simprof::KIND_STORE,
-                    _ => simprof::KIND_BRANCH,
-                };
                 simprof::record_engine_sample(prof.interval, prof_kind, prof_level, prof.in_warmup);
             }
         }
     }
+
+    #[inline(always)]
+    fn branch(&mut self, pc: u64, kind: BranchKind, taken: bool) {
+        self.fetch();
+        let t = &mut self.t;
+        t.branches += 1;
+        match kind {
+            BranchKind::Conditional => {
+                t.cond += 1;
+                if !self.predictor.predict_and_update(pc, taken) {
+                    t.mispredicts += 1;
+                }
+            }
+            // Direct targets are predicted perfectly once decoded.
+            BranchKind::DirectJump => t.direct_jmp += 1,
+            BranchKind::DirectNearCall => t.direct_call += 1,
+            BranchKind::IndirectJumpNonCallRet => {
+                // Indirect jump target: BTB miss modelled by the hint
+                // rate, realized deterministically by counting.
+                t.indirect_jmp += 1;
+                let ind = &mut self.ind;
+                ind.seen += 1;
+                let due = (ind.seen as f64 * self.indirect_target_miss_rate).floor() as u64;
+                if due > ind.extra_mispredicts {
+                    ind.extra_mispredicts = due;
+                    t.mispredicts += 1;
+                }
+            }
+            // Returns are served by the return-address stack, which is
+            // essentially perfect for call-balanced code.
+            BranchKind::IndirectNearReturn => t.returns += 1,
+        }
+        // Taken branches redirect fetch — mostly loop-local (hot region),
+        // occasionally a far cross-function transfer through the full text
+        // footprint.
+        if taken {
+            let fs = &mut self.fs;
+            fs.taken_seen += 1;
+            let h = pc
+                .wrapping_add(fs.taken_seen)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                >> 17;
+            let mask = if fs.taken_seen.is_multiple_of(32) {
+                fs.code_mask
+            } else {
+                fs.hot_code_mask
+            };
+            fs.fetch_off = h & mask;
+            fs.last_fetch_line = u64::MAX;
+        }
+        self.tick(simprof::KIND_BRANCH, simprof::LEVEL_NONE);
+    }
 }
 
-/// Sampling state threaded through [`exec_pass`]: the countdown persists
-/// across segments and batches so sample spacing is exact over the whole
-/// run. With `PROFILE = false` the fields are never read.
+impl<P: BranchPredictor, const PROFILE: bool> UopSink for ExecSink<'_, P, PROFILE> {
+    #[inline(always)]
+    fn alu(&mut self) {
+        self.fetch();
+        self.tick(simprof::KIND_ALU, simprof::LEVEL_NONE);
+    }
+
+    #[inline(always)]
+    fn load(&mut self, addr: u64) {
+        self.fetch();
+        self.t.loads += 1;
+        let served = if addr >= self.bypass_lo && addr < self.bypass_hi {
+            self.hierarchy.load_bypass_l2(addr)
+        } else {
+            self.hierarchy.load(addr)
+        };
+        let level = match served {
+            ServedBy::L1 => {
+                self.t.l1h += 1;
+                simprof::LEVEL_L1
+            }
+            ServedBy::L2 => {
+                self.t.l2h += 1;
+                simprof::LEVEL_L2
+            }
+            ServedBy::L3 => {
+                self.t.l3h += 1;
+                simprof::LEVEL_L3
+            }
+            ServedBy::Memory => {
+                self.t.l3m += 1;
+                simprof::LEVEL_MEM
+            }
+        };
+        self.tick(simprof::KIND_LOAD, level);
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u64) {
+        self.fetch();
+        self.t.stores += 1;
+        self.hierarchy.store(addr);
+        self.tick(simprof::KIND_STORE, simprof::LEVEL_NONE);
+    }
+
+    #[inline(always)]
+    fn op(&mut self, op: MicroOp) {
+        match op {
+            MicroOp::Alu => self.alu(),
+            MicroOp::Load { addr } => self.load(addr),
+            MicroOp::Store { addr } => self.store(addr),
+            MicroOp::Branch { pc, kind, taken } => self.branch(pc, kind, taken),
+        }
+    }
+
+    fn lend_batch(&mut self) -> UopBatch {
+        std::mem::take(self.arena)
+    }
+
+    fn return_batch(&mut self, batch: UopBatch) {
+        *self.arena = batch;
+    }
+}
+
+/// Sampling state of one run's [`ExecSink`]: the countdown persists across
+/// segments so sample spacing is exact over the whole run. With
+/// `PROFILE = false` the fields are never read.
 struct ProfState {
     countdown: u64,
     interval: u64,
@@ -378,6 +441,79 @@ impl ProfState {
     }
 }
 
+/// Where [`drive_segments`] cuts the stream: segments never cross
+/// the warmup edge or a sampler interval edge, and ask the source for at
+/// most `batch_ops` µops at a time.
+struct Cuts {
+    warmup_ops: u64,
+    /// Sampler interval; `None` makes the interval edge unreachable.
+    interval: Option<u64>,
+    batch_ops: usize,
+}
+
+/// What one driven run produced before pricing.
+struct Driven {
+    /// The counted ops' events (no cycles yet).
+    session: PerfSession,
+    /// Snapshots at interval boundaries: (counted-op index, session counts
+    /// so far, cumulative L1I misses).
+    marks: Vec<(u64, PerfSession, u64)>,
+    /// Ops executed, warmup included.
+    executed: u64,
+    counted: u64,
+    /// L1I misses accumulated by warmup, snapshotted where the scalar loop
+    /// snapshots them.
+    l1i_misses_at_warmup: u64,
+}
+
+/// The segment loop: drives `source` into `sink` one segment at a time and
+/// flushes each counted segment's tallies, so no per-op boundary check
+/// survives into the sink. Warmup segments discard their tallies, exactly
+/// as the scalar path discarded its warmup counters.
+fn drive_segments<S: UopSource, P: BranchPredictor, const PROFILE: bool>(
+    source: &mut S,
+    mut sink: ExecSink<'_, P, PROFILE>,
+    cuts: Cuts,
+) -> Driven {
+    let mut next_sample = cuts.interval.unwrap_or(u64::MAX);
+    let mut d = Driven {
+        session: PerfSession::new(),
+        marks: Vec::new(),
+        executed: 0,
+        counted: 0,
+        l1i_misses_at_warmup: 0,
+    };
+    loop {
+        let in_warmup = d.executed < cuts.warmup_ops;
+        let room = if in_warmup {
+            cuts.warmup_ops - d.executed
+        } else {
+            next_sample - d.counted
+        };
+        if !in_warmup && d.counted == 0 {
+            // About to process the first counted op.
+            d.l1i_misses_at_warmup = sink.hierarchy.l1i_stats().misses;
+        }
+        sink.t = Tallies::default();
+        sink.prof.in_warmup = in_warmup;
+        let n = source.drive(&mut sink, room.min(cuts.batch_ops as u64) as usize) as u64;
+        if n == 0 {
+            break;
+        }
+        d.executed += n;
+        if !in_warmup {
+            d.counted += n;
+            sink.t.flush(&mut d.session, n);
+            if d.counted == next_sample {
+                let l1i = sink.hierarchy.l1i_stats().misses;
+                d.marks.push((d.counted, d.session.clone(), l1i));
+                next_sample = next_sample.saturating_add(cuts.interval.unwrap_or(u64::MAX));
+            }
+        }
+    }
+    d
+}
+
 /// Executes micro-op streams on a fixed system configuration.
 ///
 /// See the [crate-level example](crate) for end-to-end usage.
@@ -387,8 +523,8 @@ pub struct Engine {
     predictor: PredictorImpl,
     predictor_kind: PredictorKind,
     last_breakdown: Option<CycleBreakdown>,
-    /// Reusable batch arena: taken at the start of a run, returned at the
-    /// end, so steady-state execution does not allocate per batch.
+    /// Reusable batch arena lent to sources without a native `drive`, so
+    /// steady-state execution does not allocate per batch.
     arena: UopBatch,
 }
 
@@ -436,8 +572,8 @@ impl Engine {
         self.predictor = PredictorImpl::build(self.predictor_kind);
     }
 
-    /// Executes a batched µop source to completion under an [`ExecPlan`]
-    /// and returns the counter file.
+    /// Executes a µop source to completion under an [`ExecPlan`] and
+    /// returns the counter file.
     ///
     /// The returned session contains every [`Event`], including the cycle
     /// count derived by the interval timing model, so `session.ipc()` is
@@ -449,7 +585,7 @@ impl Engine {
     /// stream for every plan.
     ///
     /// Counters are also independent of profiling: one dispatch here picks
-    /// the profiled or unprofiled monomorphization of the hot loop, and
+    /// the profiled or unprofiled monomorphization of the engine sink, and
     /// the simprof hook only ever reads engine state (pinned by
     /// `profiling_does_not_perturb_counters`).
     pub fn execute<S: UopSource>(&mut self, source: S, plan: &ExecPlan) -> PerfSession {
@@ -473,7 +609,7 @@ impl Engine {
         } else {
             None
         };
-        let mut prof = if PROFILE {
+        let prof = if PROFILE {
             ProfState {
                 countdown: prof_interval,
                 interval: prof_interval,
@@ -490,82 +626,19 @@ impl Engine {
         }
         let hints = &plan.hints;
         let warmup_ops = plan.warmup_ops;
-        // When sampling is off the boundary is unreachable, so segments
-        // split only at batch and warmup edges.
         let interval = plan.sampler.map(|c| c.interval_ops.max(1));
-        let mut next_sample = interval.unwrap_or(u64::MAX);
-        let mut counted: u64 = 0;
-        // Snapshots at interval boundaries: (counted-op index, session
-        // counts so far, cumulative L1I misses).
-        let mut marks: Vec<(u64, PerfSession, u64)> = Vec::new();
-
-        let mut s = PerfSession::new();
-        let mut executed: u64 = 0;
-        let mut l1i_misses_at_warmup: u64 = 0;
-        let mut fs = FetchState::new(hints);
-        let mut ind = IndirectState::default();
-        let batch_ops = plan.batch_ops.max(1);
-        let mut batch = std::mem::take(&mut self.arena);
-
-        loop {
-            batch.clear();
-            source.fill(&mut batch, batch_ops);
-            let n = batch.len();
-            if n == 0 {
-                break;
-            }
-            let mut start = 0usize;
-            // Segment the batch so no per-op boundary checks survive into
-            // the inner passes: a segment never crosses the warmup edge or
-            // a sampler interval edge.
-            while start < n {
-                let left = (n - start) as u64;
-                let in_warmup = executed < warmup_ops;
-                let seg = if in_warmup {
-                    (warmup_ops - executed).min(left) as usize
-                } else {
-                    (next_sample - counted).min(left) as usize
-                };
-                if !in_warmup && counted == 0 {
-                    // About to process the first counted op: snapshot the
-                    // L1I misses accumulated by warmup, exactly where the
-                    // scalar loop snapshots them.
-                    l1i_misses_at_warmup = self.hierarchy.l1i_stats().misses;
-                }
-                let kinds = &batch.kinds[start..start + seg];
-                let addrs = &batch.addrs[start..start + seg];
-                let mut t = Tallies::default();
-                let rate = hints.indirect_target_miss_rate;
-                let bypass = hints.l2_bypass_range;
-                prof.in_warmup = in_warmup;
-                let (h, f, pr) = (&mut self.hierarchy, &mut fs, &mut prof);
-                match &mut self.predictor {
-                    PredictorImpl::Tournament(p) => exec_pass::<_, PROFILE>(
-                        h, f, p, kinds, addrs, bypass, &mut ind, rate, &mut t, pr,
-                    ),
-                    PredictorImpl::GShare(p) => exec_pass::<_, PROFILE>(
-                        h, f, p, kinds, addrs, bypass, &mut ind, rate, &mut t, pr,
-                    ),
-                    PredictorImpl::Bimodal(p) => exec_pass::<_, PROFILE>(
-                        h, f, p, kinds, addrs, bypass, &mut ind, rate, &mut t, pr,
-                    ),
-                    PredictorImpl::AlwaysTaken(p) => exec_pass::<_, PROFILE>(
-                        h, f, p, kinds, addrs, bypass, &mut ind, rate, &mut t, pr,
-                    ),
-                }
-                executed += seg as u64;
-                start += seg;
-                if !in_warmup {
-                    counted += seg as u64;
-                    t.flush(&mut s, seg as u64);
-                    if counted == next_sample {
-                        marks.push((counted, s.clone(), self.hierarchy.l1i_stats().misses));
-                        next_sample = next_sample.saturating_add(interval.unwrap_or(u64::MAX));
-                    }
-                }
-            }
-        }
-        self.arena = batch;
+        let cuts = Cuts {
+            warmup_ops,
+            interval,
+            batch_ops: plan.batch_ops.max(1),
+        };
+        let Driven {
+            session: mut s,
+            mut marks,
+            executed,
+            counted,
+            l1i_misses_at_warmup,
+        } = self.drive::<S, PROFILE>(&mut source, hints, prof, cuts);
 
         // Price the counted portion of the run.
         let l1i_total = self.hierarchy.l1i_stats().misses;
@@ -621,7 +694,7 @@ impl Engine {
         s
     }
 
-    /// Functional warming over a batched source: advances every piece of
+    /// Functional warming over a µop source: advances every piece of
     /// persistent microarchitectural state — cache hierarchy (demand and
     /// instruction fetch), branch predictor — through transitions
     /// bit-identical to [`Engine::execute`] on the same stream, but with
@@ -635,46 +708,51 @@ impl Engine {
     /// `execute` on chunk B produces the same session for B as `execute`
     /// on both) is pinned by this crate's tests.
     pub fn warm<S: UopSource>(&mut self, mut source: S, hints: &WorkloadHints) -> u64 {
-        let mut executed: u64 = 0;
-        // Per-run fetch state, reset per call exactly like execute.
-        let mut fs = FetchState::new(hints);
-        // Rate 0.0 keeps the indirect model inert, matching the scalar
-        // warm path (which never counted indirect misses).
-        let mut ind = IndirectState::default();
-        let mut batch = std::mem::take(&mut self.arena);
-        loop {
-            batch.clear();
-            source.fill(&mut batch, crate::exec::DEFAULT_BATCH_OPS);
-            let n = batch.len();
-            if n == 0 {
-                break;
-            }
-            let mut t = Tallies::default();
-            let kinds = &batch.kinds[..];
-            let addrs = &batch.addrs[..];
-            let bypass = hints.l2_bypass_range;
-            // Warming is uncounted gap-filling; it is never profiled.
-            let mut prof = ProfState::off();
-            let (h, f, pr) = (&mut self.hierarchy, &mut fs, &mut prof);
-            match &mut self.predictor {
-                PredictorImpl::Tournament(p) => {
-                    exec_pass::<_, false>(h, f, p, kinds, addrs, bypass, &mut ind, 0.0, &mut t, pr)
-                }
-                PredictorImpl::GShare(p) => {
-                    exec_pass::<_, false>(h, f, p, kinds, addrs, bypass, &mut ind, 0.0, &mut t, pr)
-                }
-                PredictorImpl::Bimodal(p) => {
-                    exec_pass::<_, false>(h, f, p, kinds, addrs, bypass, &mut ind, 0.0, &mut t, pr)
-                }
-                PredictorImpl::AlwaysTaken(p) => {
-                    exec_pass::<_, false>(h, f, p, kinds, addrs, bypass, &mut ind, 0.0, &mut t, pr)
-                }
-            }
-            executed += n as u64;
-        }
-        self.arena = batch;
+        // An all-warmup run: tallies, fetch and indirect-model state are
+        // per call and discarded. Warming is never profiled.
+        let cuts = Cuts {
+            warmup_ops: u64::MAX,
+            interval: None,
+            batch_ops: crate::exec::DEFAULT_BATCH_OPS,
+        };
+        let executed = self
+            .drive::<S, false>(&mut source, hints, ProfState::off(), cuts)
+            .executed;
         crate::metrics::ops_warmed().add(executed);
         executed
+    }
+
+    /// Runs [`drive_segments`] with the engine's current predictor.
+    fn drive<S: UopSource, const PROFILE: bool>(
+        &mut self,
+        source: &mut S,
+        hints: &WorkloadHints,
+        prof: ProfState,
+        cuts: Cuts,
+    ) -> Driven {
+        let (h, a) = (&mut self.hierarchy, &mut self.arena);
+        match &mut self.predictor {
+            PredictorImpl::Tournament(p) => drive_segments(
+                source,
+                ExecSink::<_, PROFILE>::new(h, p, a, hints, prof),
+                cuts,
+            ),
+            PredictorImpl::GShare(p) => drive_segments(
+                source,
+                ExecSink::<_, PROFILE>::new(h, p, a, hints, prof),
+                cuts,
+            ),
+            PredictorImpl::Bimodal(p) => drive_segments(
+                source,
+                ExecSink::<_, PROFILE>::new(h, p, a, hints, prof),
+                cuts,
+            ),
+            PredictorImpl::AlwaysTaken(p) => drive_segments(
+                source,
+                ExecSink::<_, PROFILE>::new(h, p, a, hints, prof),
+                cuts,
+            ),
+        }
     }
 
     /// Runs a micro-op iterator to completion under [`RunOptions`] —
@@ -698,10 +776,9 @@ impl Engine {
     /// The original one-op-at-a-time execution loop, kept verbatim as the
     /// executable specification of the engine's counter semantics.
     ///
-    /// The batched [`Engine::execute`] must produce bit-identical sessions
-    /// (including timelines) for every stream and plan; the differential
-    /// tests in this crate and the roster-wide suite in `workload-synth`
-    /// pin that equivalence. Not a hot path — use [`Engine::execute`].
+    /// [`Engine::execute`] must produce bit-identical sessions (including
+    /// timelines) for every stream and plan; the differential tests in this
+    /// crate and the roster-wide suite in `workchar` pin that equivalence. Not a hot path — use [`Engine::execute`].
     pub fn run_reference<I>(
         &mut self,
         ops: I,

@@ -1,14 +1,17 @@
-//! The batched execution API: flat SoA µop batches, the sources that fill
-//! them, and the [`ExecPlan`] describing one run.
+//! The execution API: the per-op [`UopSink`] the engine executes into,
+//! the [`UopSource`]s that drive it, the flat SoA [`UopBatch`] they can
+//! also fill, and the [`ExecPlan`] describing one run.
 //!
-//! The per-op iterator API ([`crate::engine::Engine::run_with`]) dispatches
-//! on a `MicroOp` enum per µop. The batched API instead decodes a stream
-//! into a reusable [`UopBatch`] arena — a structure-of-arrays of kind bytes
-//! and addresses — and lets the engine process whole segments at a time:
-//! cache probes stay in one tight loop, predictor updates in another, and
-//! per-op counter increments collapse into per-segment tallies. Counters
-//! are bit-identical to the scalar path (pinned by the differential tests);
-//! only the cost per µop changes.
+//! A source hands µops to the engine by calling a sink once per op:
+//! [`UopSource::drive`] pushes up to `max` µops straight into the engine's
+//! execution body, so a generator that already knows an op's class (it
+//! just drew it) calls `load`/`store`/`alu` directly and the op is never
+//! encoded, stored or re-classified. Sources that only know how to fill a
+//! [`UopBatch`] — a structure-of-arrays of kind bytes and operands — get
+//! the default `drive`, which fills the engine's reusable batch arena and
+//! replays it into the sink. Counters are bit-identical either way and to
+//! the scalar reference path (pinned by the differential tests); only the
+//! cost per µop changes.
 //!
 //! ```
 //! use uarch_sim::config::SystemConfig;
@@ -29,21 +32,53 @@ use crate::microop::{BranchKind, MicroOp};
 use crate::timeline::SamplerConfig;
 
 /// Kind byte for an ALU µop.
-pub(crate) const KIND_ALU: u8 = 0;
+const KIND_ALU: u8 = 0;
 /// Kind byte for a load µop (address in the parallel `addrs` lane).
-pub(crate) const KIND_LOAD: u8 = 1;
+const KIND_LOAD: u8 = 1;
 /// Kind byte for a store µop (address in the parallel `addrs` lane).
-pub(crate) const KIND_STORE: u8 = 2;
+const KIND_STORE: u8 = 2;
 /// First branch kind byte; branches encode as
 /// `KIND_BRANCH_BASE + 2 * kind_index + taken` with `kind_index` the
 /// position of the [`BranchKind`] in [`BranchKind::ALL`], so the taken bit
 /// and the class both decode with shifts instead of an enum match.
-pub(crate) const KIND_BRANCH_BASE: u8 = 3;
+const KIND_BRANCH_BASE: u8 = 3;
 
-/// Default number of µops the engine asks a source for per batch. Sized so
-/// one batch's kind and address lanes stay L1/L2-resident while still
-/// amortizing per-batch overhead over thousands of ops.
+/// Default number of µops the engine asks a source for per drive. Sized so
+/// a fill-only source's batch lanes stay L1/L2-resident while still
+/// amortizing per-segment overhead over thousands of ops.
 pub const DEFAULT_BATCH_OPS: usize = 4096;
+
+/// The consumer side of execution: one call per µop, in stream order.
+///
+/// The engine's execution body is a `UopSink`; so is [`UopBatch`], which
+/// records the calls into its lanes. A source that has just classified an
+/// op calls the matching method directly (`load`, `store`, `alu`); `op`
+/// takes any µop in enum form and is the entry point for branches.
+pub trait UopSink {
+    /// Consumes an ALU µop.
+    fn alu(&mut self);
+
+    /// Consumes a load of `addr`.
+    fn load(&mut self, addr: u64);
+
+    /// Consumes a store to `addr`.
+    fn store(&mut self, addr: u64);
+
+    /// Consumes any µop.
+    fn op(&mut self, op: MicroOp);
+
+    /// Lends the batch the default [`UopSource::drive`] fills before
+    /// replaying it into this sink. The default allocates an empty one; a
+    /// sink driven many times (the engine) lends a reusable arena and takes
+    /// it back in [`UopSink::return_batch`], so steady-state execution does
+    /// not allocate.
+    fn lend_batch(&mut self) -> UopBatch {
+        UopBatch::new()
+    }
+
+    /// Takes back the batch handed out by [`UopSink::lend_batch`].
+    fn return_batch(&mut self, _batch: UopBatch) {}
+}
 
 #[inline]
 fn encode_branch(kind: BranchKind, taken: bool) -> u8 {
@@ -142,30 +177,86 @@ impl UopBatch {
     /// the engine never round-trips through this).
     pub fn get(&self, index: usize) -> Option<MicroOp> {
         let k = *self.kinds.get(index)?;
-        let operand = self.addrs[index];
-        Some(match k {
-            KIND_ALU => MicroOp::Alu,
-            KIND_LOAD => MicroOp::Load { addr: operand },
-            KIND_STORE => MicroOp::Store { addr: operand },
-            _ => MicroOp::Branch {
-                pc: operand,
-                kind: BranchKind::ALL[((k - KIND_BRANCH_BASE) >> 1) as usize],
-                taken: (k - KIND_BRANCH_BASE) & 1 == 1,
-            },
-        })
+        Some(decode(k, self.addrs[index]))
+    }
+
+    /// Replays the batch into `sink` in order, dispatching the three
+    /// common classes on the kind byte without building an enum.
+    fn replay<K: UopSink>(&self, sink: &mut K) {
+        for (&k, &operand) in self.kinds.iter().zip(&self.addrs) {
+            match k {
+                KIND_ALU => sink.alu(),
+                KIND_LOAD => sink.load(operand),
+                KIND_STORE => sink.store(operand),
+                _ => sink.op(decode(k, operand)),
+            }
+        }
     }
 }
 
-/// A producer of µop batches: the decode side of the batched engine.
+#[inline]
+fn decode(k: u8, operand: u64) -> MicroOp {
+    match k {
+        KIND_ALU => MicroOp::Alu,
+        KIND_LOAD => MicroOp::Load { addr: operand },
+        KIND_STORE => MicroOp::Store { addr: operand },
+        _ => MicroOp::Branch {
+            pc: operand,
+            kind: BranchKind::ALL[((k - KIND_BRANCH_BASE) >> 1) as usize],
+            taken: (k - KIND_BRANCH_BASE) & 1 == 1,
+        },
+    }
+}
+
+impl UopSink for UopBatch {
+    #[inline]
+    fn alu(&mut self) {
+        self.push_alu();
+    }
+
+    #[inline]
+    fn load(&mut self, addr: u64) {
+        self.push_load(addr);
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64) {
+        self.push_store(addr);
+    }
+
+    #[inline]
+    fn op(&mut self, op: MicroOp) {
+        self.push(op);
+    }
+}
+
+/// A producer of µops: the front end of the engine.
 ///
 /// `fill` appends up to `max` µops to `batch` and returns how many were
-/// appended; returning 0 ends the stream. Implementations write straight
-/// into the SoA lanes (via the `push_*` methods), so a generator never
-/// materializes per-op enum values on the hot path.
+/// appended; returning 0 ends the stream. The engine itself calls
+/// [`UopSource::drive`], whose default fills a batch and replays it; a
+/// source that generates ops one at a time (the workload generator)
+/// overrides `drive` to call the sink directly and implements `fill` as
+/// "drive into the batch", so it keeps one generation loop.
 pub trait UopSource {
     /// Appends up to `max` µops to `batch`; returns the count appended
     /// (0 = exhausted).
     fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize;
+
+    /// Hands up to `max` µops to `sink`, one call per op in stream order;
+    /// returns the count handed over (0 = exhausted).
+    ///
+    /// The default fills the batch the sink lends (see
+    /// [`UopSink::lend_batch`]) and replays it.
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
+        let mut batch = sink.lend_batch();
+        batch.clear();
+        self.fill(&mut batch, max);
+        let n = batch.len();
+        batch.replay(sink);
+        sink.return_batch(batch);
+        n
+    }
 
     /// Caps this source at `n` more µops — the batched analogue of
     /// `Iterator::take`, used by chunked callers (simpoint profiling and
@@ -185,13 +276,16 @@ impl<S: UopSource + ?Sized> UopSource for &mut S {
     fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
         (**self).fill(batch, max)
     }
+
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
+        (**self).drive(sink, max)
+    }
 }
 
 /// Adapts any µop iterator into a [`UopSource`].
 ///
 /// This is the compatibility path [`crate::engine::Engine::run_with`] rides
-/// on; sources with a native `fill` (the workload generator) skip the
-/// per-op iterator protocol entirely.
+/// on; it drives the engine directly, one `next` per op, without a batch.
 #[derive(Debug, Clone)]
 pub struct IterSource<I> {
     iter: I,
@@ -209,11 +303,15 @@ where
 
 impl<I: Iterator<Item = MicroOp>> UopSource for IterSource<I> {
     fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
+        self.drive(batch, max)
+    }
+
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
         let mut n = 0;
         while n < max {
             match self.iter.next() {
                 Some(op) => {
-                    batch.push(op);
+                    sink.op(op);
                     n += 1;
                 }
                 None => break,
@@ -238,6 +336,16 @@ impl<S: UopSource> UopSource for TakeOps<S> {
             return 0;
         }
         let n = self.source.fill(batch, cap);
+        self.remaining -= n as u64;
+        n
+    }
+
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
+        let cap = self.remaining.min(max as u64) as usize;
+        if cap == 0 {
+            return 0;
+        }
+        let n = self.source.drive(sink, cap);
         self.remaining -= n as u64;
         n
     }
@@ -275,7 +383,7 @@ pub struct ExecPlan {
     /// sampling: the run takes the identical hot path and the returned
     /// session carries no timeline.
     pub sampler: Option<SamplerConfig>,
-    /// µops requested from the source per batch (min 1; defaults to
+    /// µops requested from the source per drive (min 1; defaults to
     /// [`DEFAULT_BATCH_OPS`]). Tuning knob only — results are identical at
     /// any batch size.
     pub batch_ops: usize,
@@ -425,6 +533,34 @@ mod tests {
         let mut rest = src.take_ops(100);
         assert_eq!(rest.fill(&mut b, 100), 7);
         assert_eq!(b.len(), 10);
+    }
+
+    #[test]
+    fn default_drive_replays_fill_in_order() {
+        // A source with only `fill` takes the default `drive`: fill the
+        // lent batch, replay it. Through `take_ops` the cap still holds.
+        struct FillOnly<S>(S);
+        impl<S: UopSource> UopSource for FillOnly<S> {
+            fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
+                self.0.fill(batch, max)
+            }
+        }
+        let mut b = UopBatch::new();
+        let ops: Vec<MicroOp> = (0..10u64)
+            .map(|i| MicroOp::Branch {
+                pc: i * 4,
+                kind: BranchKind::ALL[i as usize % 5],
+                taken: i % 3 == 0,
+            })
+            .chain([MicroOp::Alu, MicroOp::load(0x40), MicroOp::store(0x80)])
+            .collect();
+        let mut src = FillOnly(from_iter(ops.iter().copied()));
+        assert_eq!(src.drive(&mut b, 4), 4);
+        assert_eq!((&mut src).take_ops(5).drive(&mut b, 100), 5);
+        assert_eq!(src.drive(&mut b, 100), 4);
+        assert_eq!(src.drive(&mut b, 100), 0);
+        let got: Vec<MicroOp> = (0..b.len()).map(|i| b.get(i).unwrap()).collect();
+        assert_eq!(got, ops);
     }
 
     #[test]

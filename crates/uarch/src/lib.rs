@@ -18,11 +18,11 @@
 //! `mem_load_uops_retired.l2_miss`, …), so the downstream characterization
 //! code reads counters exactly the way the authors read `perf` output.
 //!
-//! Execution is batched: the engine pulls flat structure-of-arrays µop
-//! batches from a [`exec::UopSource`] and processes them in cache-friendly
-//! segments (see [`exec`] for the layout and [`engine::Engine::execute`]
-//! for the run loop). Anything that yields [`microop::MicroOp`]s lifts
-//! into a source with [`exec::from_iter`].
+//! Execution is source-driven: a [`exec::UopSource`] calls the engine's
+//! per-op [`exec::UopSink`] once per µop, in segments cut at warmup and
+//! sampler edges (see [`exec`] for the trait pair and
+//! [`engine::Engine::execute`] for the run loop). Anything that yields
+//! [`microop::MicroOp`]s lifts into a source with [`exec::from_iter`].
 //!
 //! # Example
 //!

@@ -9,7 +9,7 @@
 //! reproduction is bit-deterministic.
 
 use uarch_sim::config::SystemConfig;
-use uarch_sim::exec::{UopBatch, UopSource};
+use uarch_sim::exec::{UopBatch, UopSink, UopSource};
 use uarch_sim::microop::MicroOp;
 
 use crate::branchmodel::BranchModel;
@@ -66,7 +66,6 @@ impl TraceScale {
         let base = behavior.ops_budget(self.ops_per_billion, self.base_ops);
         let [_, f2, f3, f4] = behavior.service_fractions();
         let l1_lines = (config.l1d.size_bytes / config.l1d.line_bytes) as f64;
-        let l2_lines = (config.l2.size_bytes / config.l2.line_bytes) as f64;
         let mem_frac = behavior.memory_fraction().max(0.02);
         // Accesses needed for viable W2/W3 regions (several revisits of the
         // pollution-assisted minimum size, including a warmup pass); levels
@@ -85,7 +84,6 @@ impl TraceScale {
         } else {
             0.0
         };
-        let _ = l2_lines;
         let needed_ops = (need2.max(need3) / mem_frac) as u64;
         // Fidelity boosts may exceed the volume cap, but only up to 2x it.
         base.min(self.max_ops)
@@ -229,21 +227,34 @@ impl TraceGenerator {
     /// tallied under `workload_uops_fastforwarded_total` instead.
     pub fn fast_forward(&mut self, n: u64) -> u64 {
         let take = n.min(self.remaining);
-        for _ in 0..take {
-            self.remaining -= 1;
-            let u = self.rng.gen_f64();
-            if u < self.cum[1] {
-                // Loads and stores each draw exactly one address.
-                self.locality.next_addr(&mut self.rng);
-            } else if u < self.cum[2] {
-                self.branches.next(&mut self.rng);
-            }
-            // ALU ops draw nothing beyond the class selector.
-        }
+        self.remaining -= take;
+        self.emit(&mut Discard, take);
         if take > 0 {
             crate::metrics::uops_fastforwarded().add(take);
         }
         take
+    }
+
+    /// The generation loop every consumer shares: `n` ops into `sink`.
+    ///
+    /// Per op, one class selector, then the address (loads, stores) or
+    /// branch draw that class performs; ALU ops draw nothing more. The
+    /// class is known at the draw, so the sink is called for it directly.
+    /// Callers do the `remaining`/`produced` bookkeeping.
+    #[inline(always)]
+    fn emit<K: UopSink>(&mut self, sink: &mut K, n: u64) {
+        for _ in 0..n {
+            let u = self.rng.gen_f64();
+            if u < self.cum[0] {
+                sink.load(self.locality.next_addr(&mut self.rng));
+            } else if u < self.cum[1] {
+                sink.store(self.locality.next_addr(&mut self.rng));
+            } else if u < self.cum[2] {
+                sink.op(self.branches.next(&mut self.rng));
+            } else {
+                sink.alu();
+            }
+        }
     }
 
     /// Address range of the L3-resident working set; pass this as the
@@ -258,25 +269,9 @@ impl Iterator for TraceGenerator {
     type Item = MicroOp;
 
     fn next(&mut self) -> Option<MicroOp> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.produced += 1;
-        let u = self.rng.gen_f64();
-        Some(if u < self.cum[0] {
-            MicroOp::Load {
-                addr: self.locality.next_addr(&mut self.rng),
-            }
-        } else if u < self.cum[1] {
-            MicroOp::Store {
-                addr: self.locality.next_addr(&mut self.rng),
-            }
-        } else if u < self.cum[2] {
-            self.branches.next(&mut self.rng)
-        } else {
-            MicroOp::Alu
-        })
+        let mut slot = Slot(None);
+        self.drive(&mut slot, 1);
+        slot.0
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -288,30 +283,52 @@ impl Iterator for TraceGenerator {
 impl ExactSizeIterator for TraceGenerator {}
 
 impl UopSource for TraceGenerator {
-    /// Streams up to `max` µops straight into the batch's SoA lanes,
-    /// skipping [`MicroOp`] materialization for the three common classes.
-    ///
-    /// Issues exactly the RNG and model draws [`Iterator::next`] would
-    /// (one class selector per op, then the address or branch draw that
-    /// class performs), so batched and iterated streams from the same
-    /// generator state are bit-identical — pinned by this module's tests.
+    /// Streams up to `max` µops straight into the batch's SoA lanes: the
+    /// generator's [`UopSource::drive`] with the batch as the sink.
     fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
+        self.drive(batch, max)
+    }
+
+    /// Calls `sink` once per generated µop, as the class is drawn, so the
+    /// op is classified once and never stored. Iteration, `fill` and
+    /// `drive` all issue the same RNG and model draws, so every path over
+    /// the same generator state yields the same stream — pinned by this
+    /// module's tests.
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
         let take = (max as u64).min(self.remaining);
         self.remaining -= take;
         self.produced += take;
-        for _ in 0..take {
-            let u = self.rng.gen_f64();
-            if u < self.cum[0] {
-                batch.push_load(self.locality.next_addr(&mut self.rng));
-            } else if u < self.cum[1] {
-                batch.push_store(self.locality.next_addr(&mut self.rng));
-            } else if u < self.cum[2] {
-                batch.push(self.branches.next(&mut self.rng));
-            } else {
-                batch.push_alu();
-            }
-        }
+        self.emit(sink, take);
         take as usize
+    }
+}
+
+/// A sink that drops every op: [`TraceGenerator::fast_forward`] advances
+/// the models without producing anything.
+struct Discard;
+
+impl UopSink for Discard {
+    fn alu(&mut self) {}
+    fn load(&mut self, _addr: u64) {}
+    fn store(&mut self, _addr: u64) {}
+    fn op(&mut self, _op: MicroOp) {}
+}
+
+/// A sink that keeps the one op [`Iterator::next`] asks for.
+struct Slot(Option<MicroOp>);
+
+impl UopSink for Slot {
+    fn alu(&mut self) {
+        self.0 = Some(MicroOp::Alu);
+    }
+    fn load(&mut self, addr: u64) {
+        self.0 = Some(MicroOp::Load { addr });
+    }
+    fn store(&mut self, addr: u64) {
+        self.0 = Some(MicroOp::Store { addr });
+    }
+    fn op(&mut self, op: MicroOp) {
+        self.0 = Some(op);
     }
 }
 
