@@ -22,8 +22,9 @@ use workload_synth::cpu2017;
 use workload_synth::generator::{TraceGenerator, TraceScale};
 use workload_synth::profile::InputSize;
 
-use crate::cache::{characterize_pair_cached, CacheContext};
-use crate::characterize::{characterize_pair, CharRecord, RunConfig};
+use crate::cache::CacheContext;
+use crate::characterize::{characterize_pair_cache_first, schedule_all, CharRecord, RunConfig};
+use crate::error::Result;
 use crate::redundancy::RedundancyAnalysis;
 use crate::subset::SubsetAnalysis;
 
@@ -163,14 +164,17 @@ pub fn predictor_ablation(config: &SystemConfig, scale: &TraceScale) -> Table {
 }
 
 /// L1 miss rates of an mcf-like access stream under each replacement policy.
-pub fn replacement_ablation(scale: &TraceScale) -> Table {
-    replacement_ablation_with(scale, None)
-}
-
-/// [`replacement_ablation`] with an optional result cache: each policy's run
-/// is a full characterization under a distinct [`SystemConfig`], so every
-/// row is content-addressed and replays from the store on repeated runs.
-pub fn replacement_ablation_with(scale: &TraceScale, cache: Option<&CacheContext>) -> Table {
+///
+/// Each policy's row is a full characterization under a distinct
+/// [`SystemConfig`], run as one scheduler job and served cache-first when
+/// `cache` is given, so every row is content-addressed and replays from the
+/// store on repeated runs.
+///
+/// # Errors
+///
+/// [`crate::error::Error::Characterization`] naming every policy whose run
+/// failed.
+pub fn replacement_ablation(scale: &TraceScale, cache: Option<&CacheContext>) -> Result<Table> {
     let mut table = Table::new(
         "Ablation: cache replacement policy (505.mcf_r trace)",
         &["Policy", "L1 miss %", "L2 local miss %", "L3 local miss %"],
@@ -178,23 +182,26 @@ pub fn replacement_ablation_with(scale: &TraceScale, cache: Option<&CacheContext
     table.numeric();
     let app = cpu2017::app("505.mcf_r").expect("mcf exists");
     let pair = &app.pairs(InputSize::Ref)[0];
-    for policy in [
+    let policies = [
         Policy::Lru,
         Policy::Fifo,
         Policy::Random,
         Policy::TreePlru,
         Policy::Srrip,
-    ] {
-        let run_config = RunConfig {
-            system: SystemConfig::haswell_e5_2650l_v3().with_policy(policy),
-            scale: *scale,
-            sampler: None,
-        };
-        let record = match cache {
-            Some(ctx) => characterize_pair_cached(pair, &run_config, ctx),
-            None => characterize_pair(pair, &run_config),
-        }
-        .expect("curated mcf profile characterizes cleanly");
+    ];
+    let records = schedule_all(
+        policies.len(),
+        |i| format!("{:?}:{}", policies[i], pair.id()),
+        |i| {
+            let run_config = RunConfig {
+                system: SystemConfig::haswell_e5_2650l_v3().with_policy(policies[i]),
+                scale: *scale,
+                sampler: None,
+            };
+            characterize_pair_cache_first(pair, &run_config, cache)
+        },
+    )?;
+    for (policy, record) in policies.iter().zip(&records) {
         table.row(vec![
             format!("{policy:?}"),
             num(record.l1_miss_pct, 3),
@@ -202,7 +209,7 @@ pub fn replacement_ablation_with(scale: &TraceScale, cache: Option<&CacheContext
             num(record.l3_miss_pct, 3),
         ]);
     }
-    table
+    Ok(table)
 }
 
 /// Effect of hardware prefetchers on a purely streaming access pattern.
@@ -312,7 +319,7 @@ mod tests {
 
     #[test]
     fn replacement_ablation_runs_all_policies() {
-        let t = replacement_ablation(&TraceScale::quick());
+        let t = replacement_ablation(&TraceScale::quick(), None).unwrap();
         assert_eq!(t.n_rows(), 5);
         assert!(t.render_ascii().contains("Srrip"));
     }
@@ -324,9 +331,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let cache = CacheContext::open(&root).unwrap();
         let scale = TraceScale::quick();
-        let uncached = replacement_ablation(&scale);
-        let cold = replacement_ablation_with(&scale, Some(&cache));
-        let warm = replacement_ablation_with(&scale, Some(&cache));
+        let uncached = replacement_ablation(&scale, None).unwrap();
+        let cold = replacement_ablation(&scale, Some(&cache)).unwrap();
+        let warm = replacement_ablation(&scale, Some(&cache)).unwrap();
         assert_eq!(
             uncached.rows(),
             cold.rows(),

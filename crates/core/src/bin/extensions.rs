@@ -19,13 +19,15 @@
 //! Characterization-backed tables share the `reproduce` binary's result
 //! cache (default `results/cache`): the rate-suite records feeding the
 //! clustering ablations, the per-policy replacement rows, and the sweeps'
-//! baseline point all replay from the store when present.
+//! baseline point all replay from the store when present. The sweeps' other
+//! points run as scheduler jobs, one per (variant, pair), each streaming the
+//! pair's baseline-machine trace through the variant.
 //!
 //! Observability mirrors `reproduce`: `--timeline` samples per-pair counter
 //! timelines for the rate-suite characterization (artifacts under
 //! `<results>/timelines/`), `--events FILE` streams perfmon JSONL, `--trace`
 //! exports a causal span trace of the run under `<results>/traces/`
-//! (Perfetto-loadable JSON plus the binary format `trace-report` reads),
+//! (Perfetto-loadable JSON, the format `trace-report` reads),
 //! `--race` records sync events and audits the whole run with the
 //! vector-clock happens-before checker (`X`-rules), `--profile` records an
 //! op-clocked statistical profile (artifacts under `<results>/profiles/`,
@@ -218,7 +220,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         ablation::linkage_ablation(&refs),
         ablation::subsetter_ablation(&refs),
         ablation::predictor_ablation(&config.system, &config.scale),
-        ablation::replacement_ablation_with(&config.scale, cache.as_ref()),
+        ablation::replacement_ablation(&config.scale, cache.as_ref())?,
         ablation::prefetcher_ablation(),
         ablation::cpi_stack_table(&refs),
     ] {
@@ -236,21 +238,21 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         .map(|n| cpu2017::app(n).expect("known app"))
         .collect();
     // The 220-cycle and 4-wide points are the baseline machine: serve them
-    // from the records characterized above instead of replaying.
+    // from the records characterized above instead of simulating them.
     let span = PipelineSpan::open(&recorder, "sensitivity-sweeps");
     for sweep in [
-        workchar::sensitivity::memory_latency_sweep_with(
+        workchar::sensitivity::memory_latency_sweep(
             &sweep_apps,
             &config,
             &[120, 220, 320, 500],
             Some(&records),
-        ),
-        workchar::sensitivity::issue_width_sweep_with(
+        )?,
+        workchar::sensitivity::issue_width_sweep(
             &sweep_apps,
             &config,
             &[1, 2, 4, 6],
             Some(&records),
-        ),
+        )?,
     ] {
         let text = sweep.table().render_ascii();
         println!("{text}");

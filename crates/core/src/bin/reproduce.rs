@@ -30,8 +30,7 @@
 //! the end of every run. `--trace` records a causal span trace of the whole
 //! run — every per-pair job nests under the run root across the scheduler's
 //! worker threads — exported as Perfetto-loadable Chrome Trace Event JSON
-//! plus the compact binary format under `<results>/traces/` (feed either to
-//! `trace-report`). `--race` records synchronization events from the
+//! under `<results>/traces/` (feed it to `trace-report`). `--race` records synchronization events from the
 //! store's index shards and the metrics registry, and at the end of the
 //! run audits them with the vector-clock happens-before
 //! checker (`X`-rules; any finding exits nonzero). `--profile` records an

@@ -4,7 +4,7 @@
 use simstore::{Progress, RunReport, Scheduler};
 use uarch_sim::config::SystemConfig;
 use uarch_sim::counters::{Event, PerfSession};
-use uarch_sim::engine::Engine;
+use uarch_sim::engine::{Engine, WorkloadHints};
 use uarch_sim::exec::ExecPlan;
 use uarch_sim::timeline::SamplerConfig;
 use workload_synth::footprint::{GrowthCurve, MemoryMap, PsSampler};
@@ -208,24 +208,45 @@ pub fn records_csv(records: &[CharRecord]) -> String {
 pub fn prepared_run(
     pair: &AppInputPair<'_>,
     config: &RunConfig,
-) -> Result<(TraceGenerator, uarch_sim::engine::WorkloadHints)> {
+) -> Result<(TraceGenerator, WorkloadHints)> {
     let trace = TraceGenerator::from_pair(pair, &config.system, &config.scale)?;
     let mut hints = pair.input.behavior.hints(&config.system);
     hints.l2_bypass_range = Some(trace.l2_bypass_range());
     Ok((trace, hints))
 }
 
-/// Runs one pair through a fresh engine and derives every reported metric.
+/// Runs one pair through a fresh engine and derives every reported metric:
+/// [`prepared_run`] followed by [`characterize_trace`].
 ///
 /// # Errors
 ///
 /// [`Error::Behavior`] when the pair's profile fails validation.
 pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<CharRecord> {
-    let behavior = &pair.input.behavior;
     let prepare =
         crate::telemetry::stage("stage/prepare", crate::telemetry::stage_prepare_micros());
     let (trace, hints) = prepared_run(pair, config)?;
     drop(prepare);
+    let record = characterize_trace(pair, trace, hints, config);
+    crate::telemetry::pairs_characterized().inc();
+    Ok(record)
+}
+
+/// The record step of a characterization: streams `trace` through a fresh
+/// engine for `config.system` under `hints`, and derives every reported
+/// metric from the session, the footprint sampler and the projected-seconds
+/// formula.
+///
+/// The trace need not be generated for `config.system`: a sensitivity sweep
+/// generates it for the baseline machine (the workload adapts its working
+/// sets to the machine it is generated for) and streams it through each
+/// variant.
+pub fn characterize_trace(
+    pair: &AppInputPair<'_>,
+    trace: TraceGenerator,
+    hints: WorkloadHints,
+    config: &RunConfig,
+) -> CharRecord {
+    let behavior = &pair.input.behavior;
     let sim_ops = trace.remaining();
 
     // A third of the trace warms caches and predictor so steady-state
@@ -273,8 +294,7 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
         0.0
     };
 
-    crate::telemetry::pairs_characterized().inc();
-    Ok(CharRecord {
+    CharRecord {
         id: pair.id(),
         app: pair.app.name.clone(),
         input: pair.input.name.clone(),
@@ -299,7 +319,7 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
         sim_seconds,
         projected_seconds,
         session,
-    })
+    }
 }
 
 /// Characterizes every input of every application at `size`, in parallel.
@@ -357,40 +377,108 @@ pub fn characterize_pairs_with(
     config: &RunConfig,
     cache: Option<&CacheContext>,
 ) -> Result<Vec<CharRecord>> {
-    characterize_pairs_report(pairs, config, cache, |_| {})
-        .into_results()
-        .map_err(|failures| Error::Characterization {
-            failures,
-            total: pairs.len(),
-        })
+    schedule_all(
+        pairs.len(),
+        |i| pairs[i].id(),
+        |i| characterize_pair_cache_first(&pairs[i], config, cache),
+    )
 }
 
 /// Fault-tolerant parallel characterization: every pair runs on the
 /// [`Scheduler`] (panic-isolated, retried once), optionally cache-first, and
 /// the full [`RunReport`] comes back — partial results survive individual
 /// failures. `progress` fires after each pair settles (from worker threads).
-///
-/// Per-pair errors are re-raised as panics inside the scheduler's workers so
-/// its isolation and retry machinery applies uniformly; they come back as
-/// [`simstore::JobFailure`] entries, not unwinds.
 pub fn characterize_pairs_report<P: Fn(Progress) + Sync>(
     pairs: &[AppInputPair<'_>],
     config: &RunConfig,
     cache: Option<&CacheContext>,
     progress: P,
 ) -> RunReport<CharRecord> {
-    Scheduler::available().run(
+    schedule(
         pairs.len(),
         |i| pairs[i].id(),
-        |i| {
-            let run = match cache {
-                Some(ctx) => characterize_pair_cached(&pairs[i], config, ctx),
-                None => characterize_pair(&pairs[i], config),
-            };
-            run.unwrap_or_else(|e| panic!("{e}"))
-        },
+        |i| characterize_pair_cache_first(&pairs[i], config, cache),
         progress,
     )
+}
+
+/// [`characterize_pair`], served from `cache` first when one is given.
+pub(crate) fn characterize_pair_cache_first(
+    pair: &AppInputPair<'_>,
+    config: &RunConfig,
+    cache: Option<&CacheContext>,
+) -> Result<CharRecord> {
+    match cache {
+        Some(ctx) => characterize_pair_cached(pair, config, ctx),
+        None => characterize_pair(pair, config),
+    }
+}
+
+/// Runs `total` pipeline jobs on the [`Scheduler`] (panic-isolated, retried
+/// once) and returns their results by position.
+///
+/// Job errors are re-raised as panics inside the scheduler's workers so its
+/// isolation and retry machinery applies uniformly; they come back as
+/// [`simstore::JobFailure`] entries labelled `label(i)`, not unwinds.
+pub(crate) fn schedule<T, L, J, P>(total: usize, label: L, job: J, progress: P) -> RunReport<T>
+where
+    T: Send,
+    L: Fn(usize) -> String + Sync,
+    J: Fn(usize) -> Result<T> + Sync,
+    P: Fn(Progress) + Sync,
+{
+    Scheduler::available().run(
+        total,
+        label,
+        |i| job(i).unwrap_or_else(|e| panic!("{e}")),
+        progress,
+    )
+}
+
+/// [`schedule`] for callers that need every result.
+///
+/// # Errors
+///
+/// [`Error::Characterization`] listing every job that still failed after
+/// the scheduler's retry.
+pub(crate) fn schedule_all<T, L, J>(total: usize, label: L, job: J) -> Result<Vec<T>>
+where
+    T: Send,
+    L: Fn(usize) -> String + Sync,
+    J: Fn(usize) -> Result<T> + Sync,
+{
+    schedule(total, label, job, |_| {})
+        .into_results()
+        .map_err(|failures| Error::Characterization { failures, total })
+}
+
+/// A roster with one deliberately broken profile: the micro-op mix sums
+/// past 100%, which `TraceGenerator::new` rejects.
+#[cfg(test)]
+pub(crate) fn poisoned_apps() -> Vec<AppProfile> {
+    use workload_synth::cpu2017;
+    use workload_synth::profile::{Behavior, InputProfile};
+    let bad_behavior = Behavior {
+        load_pct: 90.0,
+        store_pct: 20.0,
+        ..Default::default()
+    };
+    let bad_input = InputProfile {
+        name: "impossible".into(),
+        behavior: bad_behavior,
+    };
+    let bad = AppProfile {
+        name: "999.broken_r".into(),
+        suite: Suite::RateInt,
+        test: vec![bad_input.clone()],
+        train: vec![bad_input.clone()],
+        reference: vec![bad_input],
+    };
+    vec![
+        cpu2017::app("505.mcf_r").unwrap(),
+        bad,
+        cpu2017::app("541.leela_r").unwrap(),
+    ]
 }
 
 #[cfg(test)]
@@ -454,33 +542,6 @@ mod tests {
             let serial = characterize_pair(pair, &config).unwrap();
             assert_eq!(&serial, record);
         }
-    }
-
-    /// A roster with one deliberately broken profile: the micro-op mix sums
-    /// past 100%, which `TraceGenerator::new` rejects.
-    fn poisoned_apps() -> Vec<workload_synth::profile::AppProfile> {
-        use workload_synth::profile::{AppProfile, Behavior, InputProfile};
-        let bad_behavior = Behavior {
-            load_pct: 90.0,
-            store_pct: 20.0,
-            ..Default::default()
-        };
-        let bad_input = InputProfile {
-            name: "impossible".into(),
-            behavior: bad_behavior,
-        };
-        let bad = AppProfile {
-            name: "999.broken_r".into(),
-            suite: Suite::RateInt,
-            test: vec![bad_input.clone()],
-            train: vec![bad_input.clone()],
-            reference: vec![bad_input],
-        };
-        vec![
-            cpu2017::app("505.mcf_r").unwrap(),
-            bad,
-            cpu2017::app("541.leela_r").unwrap(),
-        ]
     }
 
     #[test]

@@ -1,23 +1,23 @@
 //! Design-space sensitivity studies over the characterized suite.
 //!
 //! The paper positions CPU2017 as the workload set for "simulation-based
-//! design and optimization research for next-generation processors [and]
+//! design and optimization research for next-generation processors \[and\]
 //! memory subsystems". This module runs that use case end to end: sweep one
-//! architectural parameter, replay a set of applications at each point, and
+//! architectural parameter, run a set of applications at each point, and
 //! tabulate how the suite responds — the what-if analysis a
 //! processor architect would perform with the reproduced infrastructure.
-//! Sweeps are trace-driven: each pair's micro-op stream is generated once on
-//! the baseline machine and replayed unchanged on every variant.
+//! Sweeps are trace-driven on the campaign path: each (variant, pair) point
+//! is one scheduler job that generates the pair's trace for the baseline
+//! machine and streams it through a fresh engine for the variant, so every
+//! variant sees the identical micro-op stream and no trace is stored.
 
 use simreport::figure::{Figure, Kind, Series};
 use simreport::table::{num, Table};
 use uarch_sim::config::SystemConfig;
-use workload_synth::profile::{AppProfile, InputSize};
+use workload_synth::profile::{AppInputPair, AppProfile, InputSize};
 
-use uarch_sim::engine::Engine;
-use uarch_sim::exec::{from_iter, ExecPlan};
-
-use crate::characterize::{prepared_run, CharRecord, RunConfig};
+use crate::characterize::{characterize_trace, prepared_run, schedule_all, CharRecord, RunConfig};
+use crate::error::Result;
 
 /// One swept configuration point with its suite-average outcomes.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,40 +80,26 @@ impl Sweep {
     }
 }
 
-/// Rebuilds a sweep point from already-characterized baseline records
-/// instead of replaying traces. Only valid for a point whose system *is*
-/// the baseline system: [`crate::characterize::characterize_pair`] and the
-/// replay loop below run the identical trace, warmup, and engine, so their
-/// sessions — and therefore these means — coincide exactly. Returns `None`
-/// unless every swept pair has a `ref` record in `records`.
-fn baseline_point(
-    label: String,
-    apps: &[AppProfile],
-    records: &[CharRecord],
-) -> Option<SweepPoint> {
+/// The suite-average outcome of one point over its per-pair records, summed
+/// in pair order.
+fn mean_point<'a>(label: String, records: impl IntoIterator<Item = &'a CharRecord>) -> SweepPoint {
     let (mut ipc, mut m2, mut m3, mut secs) = (0.0, 0.0, 0.0, 0.0);
     let mut n = 0usize;
-    for app in apps {
-        for pair in app.pairs(InputSize::Ref) {
-            let id = pair.id();
-            let r = records
-                .iter()
-                .find(|r| r.size == InputSize::Ref && r.id == id)?;
-            ipc += r.ipc;
-            m2 += r.l2_miss_pct;
-            m3 += r.l3_miss_pct;
-            secs += r.projected_seconds;
-            n += 1;
-        }
+    for r in records {
+        ipc += r.ipc;
+        m2 += r.l2_miss_pct;
+        m3 += r.l3_miss_pct;
+        secs += r.projected_seconds;
+        n += 1;
     }
     let n = n.max(1) as f64;
-    Some(SweepPoint {
+    SweepPoint {
         label,
         mean_ipc: ipc / n,
         mean_l2_miss_pct: m2 / n,
         mean_l3_miss_pct: m3 / n,
         mean_seconds: secs / n,
-    })
+    }
 }
 
 fn sweep_over(
@@ -122,88 +108,81 @@ fn sweep_over(
     base: &RunConfig,
     configs: Vec<(String, SystemConfig)>,
     baseline: Option<&[CharRecord]>,
-) -> Sweep {
-    // Trace-driven methodology: the workload adapts its working sets to
-    // whatever machine it is generated for (that is how miss-rate targets
-    // are hit), so a sweep must generate each trace ONCE on the baseline
-    // system and replay the identical micro-op stream on every variant.
-    struct PreparedTrace {
-        ops: Vec<uarch_sim::microop::MicroOp>,
-        hints: uarch_sim::engine::WorkloadHints,
-        instructions_billions: f64,
-        threads: u32,
-    }
-    let mut traces = Vec::new();
-    for app in apps {
-        for pair in app.pairs(InputSize::Ref) {
-            let (generator, hints) = prepared_run(&pair, base).expect("curated profiles are valid");
-            traces.push(PreparedTrace {
-                ops: generator.collect(),
-                hints,
-                instructions_billions: pair.input.behavior.instructions_billions,
-                threads: pair.input.behavior.threads,
-            });
-        }
-    }
+) -> Result<Sweep> {
+    let pairs: Vec<AppInputPair<'_>> = apps
+        .iter()
+        .flat_map(|app| app.pairs(InputSize::Ref))
+        .collect();
+    // The unmodified point: a characterization campaign (possibly
+    // cache-served) already measured it on the identical trace, warmup and
+    // engine, so its `ref` records serve it when they cover every pair.
+    let served: Vec<Option<Vec<&CharRecord>>> = configs
+        .iter()
+        .map(|(_, system)| {
+            let records = baseline.filter(|_| *system == base.system)?;
+            pairs
+                .iter()
+                .map(|pair| {
+                    let id = pair.id();
+                    records
+                        .iter()
+                        .find(|r| r.size == InputSize::Ref && r.id == id)
+                })
+                .collect()
+        })
+        .collect();
 
-    let mut points = Vec::with_capacity(configs.len());
-    for (label, system) in configs {
-        if system == base.system {
-            // The unmodified point: a characterization campaign (possibly
-            // cache-served) already measured it; reuse those records.
-            if let Some(point) =
-                baseline.and_then(|records| baseline_point(label.clone(), apps, records))
-            {
-                points.push(point);
-                continue;
-            }
-        }
-        let (mut ipc, mut m2, mut m3, mut secs) = (0.0, 0.0, 0.0, 0.0);
-        for t in &traces {
-            let mut engine = Engine::new(&system);
-            let warm = t.ops.len() as u64 / 3;
-            let session = engine.execute(
-                from_iter(t.ops.iter().copied()),
-                &ExecPlan::new().hints(t.hints).warmup(warm),
-            );
-            ipc += session.ipc();
-            m2 += session.l2_miss_rate() * 100.0;
-            m3 += session.l3_miss_rate() * 100.0;
-            if session.ipc() > 0.0 {
-                // Same operation order as `characterize_pair`'s
-                // projected-seconds formula, so a baseline point served from
-                // records is bit-identical to one replayed here.
-                let clock_hz = system.clock_ghz * 1e9;
-                secs += t.instructions_billions * 1e9
-                    / (session.ipc() * clock_hz * t.threads.max(1) as f64);
-            }
-        }
-        let n = traces.len().max(1) as f64;
-        points.push(SweepPoint {
-            label,
-            mean_ipc: ipc / n,
-            mean_l2_miss_pct: m2 / n,
-            mean_l3_miss_pct: m3 / n,
-            mean_seconds: secs / n,
-        });
-    }
-    Sweep { parameter, points }
+    // Every other (variant, pair) point is one scheduler job. The workload
+    // adapts its working sets to whatever machine it is generated for (that
+    // is how miss-rate targets are hit), so the trace is generated for the
+    // baseline machine and streamed unchanged through the variant.
+    let jobs: Vec<(usize, usize)> = served
+        .iter()
+        .enumerate()
+        .filter(|(_, records)| records.is_none())
+        .flat_map(|(c, _)| (0..pairs.len()).map(move |p| (c, p)))
+        .collect();
+    let simulated = schedule_all(
+        jobs.len(),
+        |j| format!("{}:{}", configs[jobs[j].0].0, pairs[jobs[j].1].id()),
+        |j| {
+            let (c, p) = jobs[j];
+            let variant = RunConfig {
+                system: configs[c].1.clone(),
+                scale: base.scale,
+                sampler: None,
+            };
+            let (trace, hints) = prepared_run(&pairs[p], base)?;
+            Ok(characterize_trace(&pairs[p], trace, hints, &variant))
+        },
+    )?;
+
+    let mut simulated = simulated.iter();
+    let points = configs
+        .into_iter()
+        .zip(served)
+        .map(|((label, _), records)| match records {
+            Some(records) => mean_point(label, records),
+            None => mean_point(label, simulated.by_ref().take(pairs.len())),
+        })
+        .collect();
+    Ok(Sweep { parameter, points })
 }
 
 /// Sweeps main-memory latency over `cycle_points` — the strongest lever on
-/// the memory-bound applications the paper highlights.
-pub fn memory_latency_sweep(apps: &[AppProfile], base: &RunConfig, cycle_points: &[u64]) -> Sweep {
-    memory_latency_sweep_with(apps, base, cycle_points, None)
-}
-
-/// [`memory_latency_sweep`] reusing `baseline` records for any point whose
-/// system equals the baseline system.
-pub fn memory_latency_sweep_with(
+/// the memory-bound applications the paper highlights. `baseline` records
+/// serve any point whose system equals the baseline system.
+///
+/// # Errors
+///
+/// [`crate::error::Error::Characterization`] naming every `variant:pair`
+/// job that failed.
+pub fn memory_latency_sweep(
     apps: &[AppProfile],
     base: &RunConfig,
     cycle_points: &[u64],
     baseline: Option<&[CharRecord]>,
-) -> Sweep {
+) -> Result<Sweep> {
     let configs = cycle_points
         .iter()
         .map(|&cycles| {
@@ -217,18 +196,18 @@ pub fn memory_latency_sweep_with(
 
 /// Sweeps the core issue width over `width_points` — compute-bound
 /// applications respond, memory-bound ones barely move (the classic
-/// balance-of-machine picture).
-pub fn issue_width_sweep(apps: &[AppProfile], base: &RunConfig, width_points: &[usize]) -> Sweep {
-    issue_width_sweep_with(apps, base, width_points, None)
-}
-
-/// [`issue_width_sweep`] reusing `baseline` records for the base point.
-pub fn issue_width_sweep_with(
+/// balance-of-machine picture). `baseline` records serve the base point.
+///
+/// # Errors
+///
+/// [`crate::error::Error::Characterization`] naming every `variant:pair`
+/// job that failed.
+pub fn issue_width_sweep(
     apps: &[AppProfile],
     base: &RunConfig,
     width_points: &[usize],
     baseline: Option<&[CharRecord]>,
-) -> Sweep {
+) -> Result<Sweep> {
     let configs = width_points
         .iter()
         .map(|&width| {
@@ -240,23 +219,24 @@ pub fn issue_width_sweep_with(
     sweep_over("issue width", apps, base, configs, baseline)
 }
 
-/// Sweeps the shared L3 capacity over `mib_points`.
+/// Sweeps the shared L3 capacity over `mib_points`. `baseline` records
+/// serve the base point.
 ///
 /// Note: at the default trace scale the per-application L3 working sets are
 /// far smaller than any realistic L3 point, so this sweep is flat unless
 /// `base.scale` is raised substantially — it exists for full-fidelity runs
 /// and is not featured in the `extensions` binary's default report.
-pub fn l3_capacity_sweep(apps: &[AppProfile], base: &RunConfig, mib_points: &[usize]) -> Sweep {
-    l3_capacity_sweep_with(apps, base, mib_points, None)
-}
-
-/// [`l3_capacity_sweep`] reusing `baseline` records for the base point.
-pub fn l3_capacity_sweep_with(
+///
+/// # Errors
+///
+/// [`crate::error::Error::Characterization`] naming every `variant:pair`
+/// job that failed.
+pub fn l3_capacity_sweep(
     apps: &[AppProfile],
     base: &RunConfig,
     mib_points: &[usize],
     baseline: Option<&[CharRecord]>,
-) -> Sweep {
+) -> Result<Sweep> {
     let configs = mib_points
         .iter()
         .map(|&mib| {
@@ -269,18 +249,19 @@ pub fn l3_capacity_sweep_with(
     sweep_over("L3 capacity", apps, base, configs, baseline)
 }
 
-/// Sweeps the per-core L2 capacity over `kib_points`.
-pub fn l2_capacity_sweep(apps: &[AppProfile], base: &RunConfig, kib_points: &[usize]) -> Sweep {
-    l2_capacity_sweep_with(apps, base, kib_points, None)
-}
-
-/// [`l2_capacity_sweep`] reusing `baseline` records for the base point.
-pub fn l2_capacity_sweep_with(
+/// Sweeps the per-core L2 capacity over `kib_points`. `baseline` records
+/// serve the base point.
+///
+/// # Errors
+///
+/// [`crate::error::Error::Characterization`] naming every `variant:pair`
+/// job that failed.
+pub fn l2_capacity_sweep(
     apps: &[AppProfile],
     base: &RunConfig,
     kib_points: &[usize],
     baseline: Option<&[CharRecord]>,
-) -> Sweep {
+) -> Result<Sweep> {
     let configs = kib_points
         .iter()
         .map(|&kib| {
@@ -307,7 +288,13 @@ mod tests {
 
     #[test]
     fn larger_l3_never_hurts_ipc() {
-        let sweep = l3_capacity_sweep(&memory_bound_apps(), &RunConfig::quick(), &[4, 30, 120]);
+        let sweep = l3_capacity_sweep(
+            &memory_bound_apps(),
+            &RunConfig::quick(),
+            &[4, 30, 120],
+            None,
+        )
+        .unwrap();
         assert_eq!(sweep.points.len(), 3);
         let ipc: Vec<f64> = sweep.points.iter().map(|p| p.mean_ipc).collect();
         assert!(
@@ -318,8 +305,13 @@ mod tests {
 
     #[test]
     fn slower_memory_hurts_memory_bound_apps() {
-        let sweep =
-            memory_latency_sweep(&memory_bound_apps(), &RunConfig::quick(), &[100, 220, 500]);
+        let sweep = memory_latency_sweep(
+            &memory_bound_apps(),
+            &RunConfig::quick(),
+            &[100, 220, 500],
+            None,
+        )
+        .unwrap();
         let ipc: Vec<f64> = sweep.points.iter().map(|p| p.mean_ipc).collect();
         assert!(
             ipc.windows(2).all(|w| w[1] < w[0]),
@@ -331,14 +323,20 @@ mod tests {
     #[test]
     fn wider_issue_helps_compute_bound_apps() {
         let apps = vec![cpu2017::app("525.x264_r").unwrap()];
-        let sweep = issue_width_sweep(&apps, &RunConfig::quick(), &[1, 2, 4]);
+        let sweep = issue_width_sweep(&apps, &RunConfig::quick(), &[1, 2, 4], None).unwrap();
         let ipc: Vec<f64> = sweep.points.iter().map(|p| p.mean_ipc).collect();
         assert!(ipc[2] > ipc[0] * 1.5, "x264 must scale with width: {ipc:?}");
     }
 
     #[test]
     fn larger_l2_reduces_l2_miss_rate() {
-        let sweep = l2_capacity_sweep(&memory_bound_apps(), &RunConfig::quick(), &[128, 256, 1024]);
+        let sweep = l2_capacity_sweep(
+            &memory_bound_apps(),
+            &RunConfig::quick(),
+            &[128, 256, 1024],
+            None,
+        )
+        .unwrap();
         let m2: Vec<f64> = sweep.points.iter().map(|p| p.mean_l2_miss_pct).collect();
         assert!(
             m2.first().unwrap() >= m2.last().unwrap(),
@@ -351,10 +349,10 @@ mod tests {
         let apps = memory_bound_apps();
         let base = RunConfig::quick();
         let latency = base.system.memory_latency;
-        let replayed = memory_latency_sweep(&apps, &base, &[latency, 500]);
+        let replayed = memory_latency_sweep(&apps, &base, &[latency, 500], None).unwrap();
         let records =
             crate::characterize::characterize_suite(&apps, InputSize::Ref, &base).unwrap();
-        let served = memory_latency_sweep_with(&apps, &base, &[latency, 500], Some(&records));
+        let served = memory_latency_sweep(&apps, &base, &[latency, 500], Some(&records)).unwrap();
         assert_eq!(
             replayed, served,
             "record-served base point must match a replay"
@@ -369,14 +367,30 @@ mod tests {
         // Records covering only one of the two apps cannot serve the point.
         let partial =
             crate::characterize::characterize_suite(&apps[..1], InputSize::Ref, &base).unwrap();
-        let replayed = memory_latency_sweep(&apps, &base, &[latency]);
-        let served = memory_latency_sweep_with(&apps, &base, &[latency], Some(&partial));
+        let replayed = memory_latency_sweep(&apps, &base, &[latency], None).unwrap();
+        let served = memory_latency_sweep(&apps, &base, &[latency], Some(&partial)).unwrap();
         assert_eq!(replayed, served);
     }
 
     #[test]
+    fn broken_profile_fails_its_variant_jobs_not_the_process() {
+        let apps = crate::characterize::poisoned_apps();
+        let err = memory_latency_sweep(&apps, &RunConfig::quick(), &[120, 500], None).unwrap_err();
+        match &err {
+            crate::error::Error::Characterization { failures, total } => {
+                assert_eq!(*total, 2 * 3, "one job per (variant, pair) point");
+                let labels: Vec<&str> = failures.iter().map(|f| f.label.as_str()).collect();
+                assert_eq!(labels, ["120 cyc:999.broken_r", "500 cyc:999.broken_r"]);
+            }
+            other => panic!("expected Characterization, got {other:?}"),
+        }
+        assert!(err.to_string().contains("120 cyc:999.broken_r"), "{err}");
+    }
+
+    #[test]
     fn rendering_works() {
-        let sweep = l3_capacity_sweep(&memory_bound_apps(), &RunConfig::quick(), &[8, 30]);
+        let sweep =
+            l3_capacity_sweep(&memory_bound_apps(), &RunConfig::quick(), &[8, 30], None).unwrap();
         let table = sweep.table();
         assert_eq!(table.n_rows(), 2);
         assert!(table.render_ascii().contains("30 MiB"));

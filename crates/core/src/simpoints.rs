@@ -9,17 +9,18 @@
 //! cache-first — a decodable stored record short-circuits the analysis
 //! (one profiling pass under the default warm gap mode, plus a sparse
 //! replay under skip) — and run pairs in parallel on the panic-isolated
-//! [`Scheduler`]. The `reproduce`/`extensions` binaries drive this behind
-//! `--simpoint`; `simpoint-report` renders and gates the stored records.
+//! [`simstore::Scheduler`]. The `reproduce`/`extensions` binaries drive
+//! this behind `--simpoint`; `simpoint-report` renders and gates the stored
+//! records.
 
 use simpoint::{analyze, GapMode, SimpointConfig, SimpointRecord, SIMPOINT_SCHEMA_VERSION};
 use simreport::table::{num, Table};
-use simstore::{Key, Scheduler, StableHash, StableHasher, Store};
+use simstore::{Key, StableHash, StableHasher, Store};
 use uarch_sim::counters::Event;
 use workload_synth::profile::{AppInputPair, AppProfile, InputSize};
 
 use crate::cache::hash_system;
-use crate::characterize::{prepared_run, RunConfig};
+use crate::characterize::{prepared_run, schedule_all, RunConfig};
 use crate::error::{Error, Result};
 
 /// Feeds every result-affecting simpoint knob into `h`.
@@ -101,7 +102,7 @@ pub fn analyze_pair_cached(
     Ok(record)
 }
 
-/// Analyzes an explicit pair list in parallel on the [`Scheduler`],
+/// Analyzes an explicit pair list in parallel on the [`simstore::Scheduler`],
 /// preserving order, cache-first when a store is given.
 ///
 /// # Errors
@@ -114,18 +115,11 @@ pub fn analyze_pairs(
     sp: &SimpointConfig,
     store: Option<&Store>,
 ) -> Result<Vec<SimpointRecord>> {
-    Scheduler::available()
-        .run(
-            pairs.len(),
-            |i| pairs[i].id(),
-            |i| analyze_pair_cached(&pairs[i], run, sp, store).unwrap_or_else(|e| panic!("{e}")),
-            |_| {},
-        )
-        .into_results()
-        .map_err(|failures| Error::Characterization {
-            failures,
-            total: pairs.len(),
-        })
+    schedule_all(
+        pairs.len(),
+        |i| pairs[i].id(),
+        |i| analyze_pair_cached(&pairs[i], run, sp, store),
+    )
 }
 
 /// Runs a simpoint campaign over every input of every application at

@@ -13,7 +13,7 @@
 
 use uarch_sim::config::SystemConfig;
 use uarch_sim::counters::{Event, PerfSession};
-use uarch_sim::engine::{Engine, RunOptions, WorkloadHints};
+use uarch_sim::engine::{Engine, WorkloadHints};
 use uarch_sim::exec::{ExecPlan, UopBatch, UopSource};
 use uarch_sim::timeline::SamplerConfig;
 use workload_synth::cpu2017;
@@ -68,17 +68,17 @@ fn every_drive_path_matches_scalar_reference_on_every_ref_pair() {
     // not perturb a single counter on any path.
     simmetrics::enable();
     simtrace::enable();
-    let opts = RunOptions::new()
-        .warmup(WARMUP)
-        .sampler(SamplerConfig::every(INTERVAL));
     for pair in &ref_pairs(&suite) {
         let span = simtrace::root("test/differential-roster");
         let (gen, hints) = prepared(pair, &config);
-        let want =
-            Engine::new(&config).run_reference(gen.clone().take(OPS as usize), &hints, &opts);
+        let base = ExecPlan::new()
+            .hints(hints)
+            .warmup(WARMUP)
+            .sampler(SamplerConfig::every(INTERVAL));
+        let want = Engine::new(&config).run_reference(gen.clone().take(OPS as usize), &base);
 
         for batch_ops in BATCH_OPS {
-            let plan = ExecPlan::from(opts).hints(hints).batch_ops(batch_ops);
+            let plan = base.batch_ops(batch_ops);
             let driven = Engine::new(&config).execute(gen.clone().take_ops(OPS), &plan);
             assert_eq!(
                 want,
@@ -139,8 +139,7 @@ fn warm_then_execute_matches_a_chunked_run_on_every_ref_pair() {
         let mut scalar = Engine::new(&config);
         let mut it = gen.clone();
         for (i, want) in want.iter().enumerate() {
-            let got =
-                scalar.run_reference((&mut it).take(CHUNK as usize), &hints, &RunOptions::new());
+            let got = scalar.run_reference((&mut it).take(CHUNK as usize), &plan);
             assert_eq!(
                 *want,
                 got,

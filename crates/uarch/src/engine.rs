@@ -20,11 +20,11 @@
 use crate::branch::{target_is_static, BranchPredictor, PredictorImpl, PredictorKind};
 use crate::config::SystemConfig;
 use crate::counters::{Event, PerfSession};
-use crate::exec::{from_iter, ExecPlan, UopBatch, UopSink, UopSource};
+use crate::exec::{ExecPlan, UopBatch, UopSink, UopSource};
 use crate::hierarchy::{Hierarchy, ServedBy};
 use crate::microop::{BranchKind, MicroOp};
 use crate::pipeline::{estimate_cycles, CycleBreakdown, TimingInputs};
-use crate::timeline::{CounterTimeline, IntervalSample, SamplerConfig};
+use crate::timeline::{CounterTimeline, IntervalSample};
 
 /// Workload-level execution hints that are not visible in the micro-op
 /// stream itself.
@@ -63,65 +63,6 @@ impl Default for WorkloadHints {
             sync_overhead: 0.0,
             l2_bypass_range: None,
         }
-    }
-}
-
-/// Per-run execution options, consumed by [`Engine::run_with`].
-///
-/// Superseded by [`ExecPlan`], which folds the hints in as well; convert
-/// with `ExecPlan::from(opts).hints(hints)`. Kept for one release of
-/// compatibility.
-///
-/// ```
-/// use uarch_sim::branch::PredictorKind;
-/// use uarch_sim::engine::RunOptions;
-/// use uarch_sim::timeline::SamplerConfig;
-///
-/// let opts = RunOptions::new()
-///     .warmup(10_000)
-///     .predictor(PredictorKind::GShare)
-///     .sampler(SamplerConfig::every(5_000));
-/// assert_eq!(opts.warmup_ops, 10_000);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RunOptions {
-    /// Micro-ops that warm caches and predictor without being counted —
-    /// standard simulation methodology so compulsory effects,
-    /// over-represented in scaled traces, do not distort the steady-state
-    /// rates the paper measures over minutes-long executions.
-    pub warmup_ops: u64,
-    /// Branch predictor to run with. `None` keeps the engine's current
-    /// predictor (including its trained state); `Some(kind)` switches to
-    /// `kind`, rebuilding it fresh if it differs from the current one.
-    pub predictor: Option<PredictorKind>,
-    /// Interval sampler configuration. `None` (the default) disables
-    /// sampling: the run takes the identical hot path and the returned
-    /// session carries no timeline.
-    pub sampler: Option<SamplerConfig>,
-}
-
-impl RunOptions {
-    /// Default options: no warmup, current predictor, sampling off.
-    pub fn new() -> Self {
-        RunOptions::default()
-    }
-
-    /// Sets the number of uncounted warmup micro-ops.
-    pub fn warmup(mut self, ops: u64) -> Self {
-        self.warmup_ops = ops;
-        self
-    }
-
-    /// Selects the branch predictor for this run.
-    pub fn predictor(mut self, kind: PredictorKind) -> Self {
-        self.predictor = Some(kind);
-        self
-    }
-
-    /// Enables interval sampling with the given configuration.
-    pub fn sampler(mut self, config: SamplerConfig) -> Self {
-        self.sampler = Some(config);
-        self
     }
 }
 
@@ -755,48 +696,28 @@ impl Engine {
         }
     }
 
-    /// Runs a micro-op iterator to completion under [`RunOptions`] —
-    /// a thin compatibility shim over [`Engine::execute`].
-    pub fn run_with<I>(&mut self, ops: I, hints: &WorkloadHints, opts: &RunOptions) -> PerfSession
-    where
-        I: IntoIterator<Item = MicroOp>,
-    {
-        self.execute(from_iter(ops), &ExecPlan::from(*opts).hints(*hints))
-    }
-
-    /// Functional warming over a micro-op iterator — a thin compatibility
-    /// shim over [`Engine::warm`].
-    pub fn warm_with<I>(&mut self, ops: I, hints: &WorkloadHints) -> u64
-    where
-        I: IntoIterator<Item = MicroOp>,
-    {
-        self.warm(from_iter(ops), hints)
-    }
-
     /// The original one-op-at-a-time execution loop, kept verbatim as the
     /// executable specification of the engine's counter semantics.
     ///
     /// [`Engine::execute`] must produce bit-identical sessions (including
     /// timelines) for every stream and plan; the differential tests in this
-    /// crate and the roster-wide suite in `workchar` pin that equivalence. Not a hot path — use [`Engine::execute`].
-    pub fn run_reference<I>(
-        &mut self,
-        ops: I,
-        hints: &WorkloadHints,
-        opts: &RunOptions,
-    ) -> PerfSession
+    /// crate and the roster-wide suite in `workchar` pin that equivalence.
+    /// Not a hot path — use [`Engine::execute`]. The plan's `batch_ops` is
+    /// ignored: this loop takes one op at a time.
+    pub fn run_reference<I>(&mut self, ops: I, plan: &ExecPlan) -> PerfSession
     where
         I: IntoIterator<Item = MicroOp>,
     {
         let mut trace_span = simtrace::span("engine/run");
-        if let Some(kind) = opts.predictor {
+        if let Some(kind) = plan.predictor {
             if kind != self.predictor_kind {
                 self.predictor = PredictorImpl::build(kind);
                 self.predictor_kind = kind;
             }
         }
-        let warmup_ops = opts.warmup_ops;
-        let interval = opts.sampler.map(|c| c.interval_ops.max(1));
+        let hints = &plan.hints;
+        let warmup_ops = plan.warmup_ops;
+        let interval = plan.sampler.map(|c| c.interval_ops.max(1));
         let mut next_sample = interval.unwrap_or(u64::MAX);
         let mut counted: u64 = 0;
         let mut marks: Vec<(u64, PerfSession, u64)> = Vec::new();
@@ -1057,6 +978,8 @@ fn branch_kind_event(kind: BranchKind) -> Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::from_iter;
+    use crate::timeline::SamplerConfig;
 
     fn engine() -> Engine {
         Engine::new(&SystemConfig::tiny_test())
@@ -1076,7 +999,7 @@ mod tests {
                 taken: true,
             },
         ];
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert_eq!(s.count(Event::InstRetiredAny), 5);
         assert_eq!(s.count(Event::UopsRetiredAll), 5);
         assert_eq!(s.count(Event::MemUopsRetiredAllLoads), 1);
@@ -1092,7 +1015,7 @@ mod tests {
         let ops: Vec<MicroOp> = (0..10_000u64)
             .map(|i| MicroOp::load((i % 2048) * 64))
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         let loads = s.count(Event::MemUopsRetiredAllLoads);
         let l1h = s.count(Event::MemLoadUopsRetiredL1Hit);
         let l1m = s.count(Event::MemLoadUopsRetiredL1Miss);
@@ -1112,7 +1035,7 @@ mod tests {
         let ops: Vec<MicroOp> = (0..10_000u64)
             .map(|i| MicroOp::load((i % 4) * 64))
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert!(s.l1_miss_rate() < 0.01, "l1 miss rate {}", s.l1_miss_rate());
     }
 
@@ -1120,7 +1043,7 @@ mod tests {
     fn streaming_load_misses_all_levels() {
         let mut e = engine();
         let ops: Vec<MicroOp> = (0..10_000u64).map(|i| MicroOp::load(i * 64)).collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert!(s.l1_miss_rate() > 0.95);
         assert!(s.l2_miss_rate() > 0.95);
         assert!(s.l3_miss_rate() > 0.9);
@@ -1132,7 +1055,7 @@ mod tests {
         let ops: Vec<MicroOp> = (0..50_000)
             .map(|_| MicroOp::conditional_branch(0x40, true))
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert!(s.mispredict_rate() < 0.001, "rate {}", s.mispredict_rate());
     }
 
@@ -1148,7 +1071,7 @@ mod tests {
                 MicroOp::conditional_branch(0x40, x & 1 == 1)
             })
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert!(s.mispredict_rate() > 0.3, "rate {}", s.mispredict_rate());
     }
 
@@ -1166,7 +1089,7 @@ mod tests {
             indirect_target_miss_rate: 0.25,
             ..WorkloadHints::default()
         };
-        let s = e.run_with(ops, &hints, &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new().hints(hints));
         let rate = s.mispredict_rate();
         assert!((rate - 0.25).abs() < 0.01, "rate {rate}");
     }
@@ -1181,7 +1104,7 @@ mod tests {
                 taken: true,
             })
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert_eq!(s.count(Event::BrMispExecAllBranches), 0);
     }
 
@@ -1189,22 +1112,20 @@ mod tests {
     fn higher_ilp_means_higher_ipc() {
         let ops: Vec<MicroOp> = (0..50_000).map(|_| MicroOp::Alu).collect();
         let mut e1 = engine();
-        let s1 = e1.run_with(
-            ops.clone(),
-            &WorkloadHints {
+        let s1 = e1.execute(
+            from_iter(ops.clone()),
+            &ExecPlan::new().hints(WorkloadHints {
                 ilp: 1.0,
                 ..WorkloadHints::default()
-            },
-            &RunOptions::new(),
+            }),
         );
         let mut e2 = engine();
-        let s2 = e2.run_with(
-            ops,
-            &WorkloadHints {
+        let s2 = e2.execute(
+            from_iter(ops),
+            &ExecPlan::new().hints(WorkloadHints {
                 ilp: 2.0,
                 ..WorkloadHints::default()
-            },
-            &RunOptions::new(),
+            }),
         );
         assert!(s2.ipc() > s1.ipc() * 1.5);
     }
@@ -1213,14 +1134,14 @@ mod tests {
     fn thread_overhead_lowers_ipc() {
         let ops: Vec<MicroOp> = (0..50_000).map(|_| MicroOp::Alu).collect();
         let mut e1 = engine();
-        let s1 = e1.run_with(ops.clone(), &WorkloadHints::default(), &RunOptions::new());
+        let s1 = e1.execute(from_iter(ops.clone()), &ExecPlan::new());
         let mut e2 = engine();
         let hints = WorkloadHints {
             threads: 4,
             sync_overhead: 0.5,
             ..WorkloadHints::default()
         };
-        let s2 = e2.run_with(ops, &hints, &RunOptions::new());
+        let s2 = e2.execute(from_iter(ops), &ExecPlan::new().hints(hints));
         assert!(s2.ipc() < s1.ipc() * 0.5);
     }
 
@@ -1228,7 +1149,7 @@ mod tests {
     fn seconds_follows_clock() {
         let mut e = engine();
         let ops: Vec<MicroOp> = (0..1000).map(|_| MicroOp::Alu).collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         let secs = e.seconds(&s);
         let expected = s.count(Event::CpuClkUnhaltedRefTsc) as f64 / 1e9; // 1 GHz tiny config
         assert!((secs - expected).abs() < 1e-15);
@@ -1238,9 +1159,9 @@ mod tests {
     fn reset_restores_cold_state() {
         let mut e = engine();
         let ops: Vec<MicroOp> = (0..100u64).map(|i| MicroOp::load(i * 64)).collect();
-        let s1 = e.run_with(ops.clone(), &WorkloadHints::default(), &RunOptions::new());
+        let s1 = e.execute(from_iter(ops.clone()), &ExecPlan::new());
         e.reset();
-        let s2 = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s2 = e.execute(from_iter(ops), &ExecPlan::new());
         assert_eq!(s1, s2, "cold runs are deterministic and identical");
     }
 
@@ -1248,22 +1169,20 @@ mod tests {
     fn large_code_footprint_costs_icache_misses() {
         let ops: Vec<MicroOp> = (0..200_000).map(|_| MicroOp::Alu).collect();
         let mut e_small = engine();
-        let small = e_small.run_with(
-            ops.clone(),
-            &WorkloadHints {
+        let small = e_small.execute(
+            from_iter(ops.clone()),
+            &ExecPlan::new().hints(WorkloadHints {
                 code_footprint_bytes: 512,
                 ..WorkloadHints::default()
-            },
-            &RunOptions::new(),
+            }),
         );
         let mut e_big = engine();
-        let big = e_big.run_with(
-            ops,
-            &WorkloadHints {
+        let big = e_big.execute(
+            from_iter(ops),
+            &ExecPlan::new().hints(WorkloadHints {
                 code_footprint_bytes: 1 << 20,
                 ..WorkloadHints::default()
-            },
-            &RunOptions::new(),
+            }),
         );
         assert!(
             big.count(Event::CpuClkUnhaltedRefTsc) > small.count(Event::CpuClkUnhaltedRefTsc),
@@ -1340,43 +1259,27 @@ mod tests {
             indirect_target_miss_rate: 0.13,
             ..WorkloadHints::default()
         };
-        for opts in [
-            RunOptions::new(),
-            RunOptions::new().warmup(7_001),
-            RunOptions::new().sampler(SamplerConfig::every(997)),
-            RunOptions::new()
-                .warmup(2_500)
-                .sampler(SamplerConfig::every(1_234)),
+        let base = ExecPlan::new().hints(hints);
+        for plan in [
+            base,
+            base.warmup(7_001),
+            base.sampler(SamplerConfig::every(997)),
+            base.warmup(2_500).sampler(SamplerConfig::every(1_234)),
         ] {
             let mut scalar = Engine::new(&SystemConfig::tiny_test());
-            let want = scalar.run_reference(ops.iter().copied(), &hints, &opts);
+            let want = scalar.run_reference(ops.iter().copied(), &plan);
             // Exercise several batch sizes, including ones that misalign
             // with the warmup and sampler boundaries.
             for batch_ops in [1usize, 7, 4096, 100_000] {
                 let mut batched = Engine::new(&SystemConfig::tiny_test());
-                let plan = ExecPlan::from(opts).hints(hints).batch_ops(batch_ops);
-                let got = batched.execute(from_iter(ops.iter().copied()), &plan);
+                let got =
+                    batched.execute(from_iter(ops.iter().copied()), &plan.batch_ops(batch_ops));
                 assert_eq!(
                     want, got,
-                    "batched (batch_ops={batch_ops}) must match reference for {opts:?}"
+                    "batched (batch_ops={batch_ops}) must match reference for {plan:?}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn run_with_is_a_shim_over_execute() {
-        let ops = phased_ops(20_000);
-        let hints = WorkloadHints::default();
-        let opts = RunOptions::new().warmup(5000);
-        let mut a = engine();
-        let via_shim = a.run_with(ops.iter().copied(), &hints, &opts);
-        let mut b = engine();
-        let via_plan = b.execute(
-            from_iter(ops.iter().copied()),
-            &ExecPlan::from(opts).hints(hints),
-        );
-        assert_eq!(via_shim, via_plan);
     }
 
     #[test]
@@ -1384,18 +1287,11 @@ mod tests {
         // Stream length exactly equals warmup: nothing is counted, and the
         // l1i accounting must not underflow.
         let ops = phased_ops(1000);
+        let plan = ExecPlan::new().warmup(1000);
         let mut a = engine();
-        let sa = a.run_with(
-            ops.iter().copied(),
-            &WorkloadHints::default(),
-            &RunOptions::new().warmup(1000),
-        );
+        let sa = a.execute(from_iter(ops.iter().copied()), &plan);
         let mut b = engine();
-        let sb = b.run_reference(
-            ops.iter().copied(),
-            &WorkloadHints::default(),
-            &RunOptions::new().warmup(1000),
-        );
+        let sb = b.run_reference(ops.iter().copied(), &plan);
         assert_eq!(sa, sb);
         assert_eq!(sa.count(Event::InstRetiredAny), 0);
     }
@@ -1405,16 +1301,11 @@ mod tests {
         let ops = phased_ops(30_000);
         let hints = WorkloadHints::default();
         let mut a = engine();
-        let plain = a.run_with(ops.clone(), &hints, &RunOptions::new().warmup(3000));
+        let plan = ExecPlan::new().hints(hints).warmup(3000);
+        let plain = a.execute(from_iter(ops.clone()), &plan);
         assert!(plain.timeline().is_none(), "no sampler, no timeline");
         let mut b = engine();
-        let mut sampled = b.run_with(
-            ops,
-            &hints,
-            &RunOptions::new()
-                .warmup(3000)
-                .sampler(SamplerConfig::every(777)),
-        );
+        let mut sampled = b.execute(from_iter(ops), &plan.sampler(SamplerConfig::every(777)));
         assert!(sampled.timeline().is_some());
         sampled.take_timeline();
         assert_eq!(plain, sampled, "sampling must not perturb any counter");
@@ -1428,10 +1319,10 @@ mod tests {
             ..WorkloadHints::default()
         };
         let mut e = engine();
-        let s = e.run_with(
-            ops,
-            &hints,
-            &RunOptions::new()
+        let s = e.execute(
+            from_iter(ops),
+            &ExecPlan::new()
+                .hints(hints)
                 .warmup(2000)
                 .sampler(SamplerConfig::every(1000)),
         );
@@ -1460,10 +1351,10 @@ mod tests {
         let ops = phased_ops(50_000);
         let hints = WorkloadHints::default();
         let mut e = engine();
-        let s = e.run_with(
-            ops,
-            &hints,
-            &RunOptions::new()
+        let s = e.execute(
+            from_iter(ops),
+            &ExecPlan::new()
+                .hints(hints)
                 .warmup(5000)
                 .sampler(SamplerConfig::every(1500)),
         );
@@ -1488,7 +1379,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_with_reproduces_run_with_state_transitions() {
+    fn warm_reproduces_execute_state_transitions() {
         // Functional warming is only sound if a warmed prefix leaves the
         // engine in the exact state a counted run of the same prefix
         // would: the session of the chunk that follows must be
@@ -1502,16 +1393,16 @@ mod tests {
         let split = 15_000;
 
         let mut counted = Engine::new(&SystemConfig::haswell_e5_2650l_v3());
-        let _ = counted.run_with(ops[..split].iter().copied(), &hints, &RunOptions::new());
-        let tail_counted =
-            counted.run_with(ops[split..].iter().copied(), &hints, &RunOptions::new());
+        let plan = ExecPlan::new().hints(hints);
+        let _ = counted.execute(from_iter(ops[..split].iter().copied()), &plan);
+        let tail_counted = counted.execute(from_iter(ops[split..].iter().copied()), &plan);
 
         let mut warmed = Engine::new(&SystemConfig::haswell_e5_2650l_v3());
         assert_eq!(
-            warmed.warm_with(ops[..split].iter().copied(), &hints),
+            warmed.warm(from_iter(ops[..split].iter().copied()), &hints),
             split as u64
         );
-        let tail_warmed = warmed.run_with(ops[split..].iter().copied(), &hints, &RunOptions::new());
+        let tail_warmed = warmed.execute(from_iter(ops[split..].iter().copied()), &plan);
 
         assert_eq!(
             tail_counted, tail_warmed,
@@ -1534,10 +1425,9 @@ mod tests {
             })
             .collect();
         let mut e = engine();
-        let s = e.run_with(
-            ops,
-            &WorkloadHints::default(),
-            &RunOptions::new().sampler(SamplerConfig::every(n / 4)),
+        let s = e.execute(
+            from_iter(ops),
+            &ExecPlan::new().sampler(SamplerConfig::every(n / 4)),
         );
         let t = s.timeline().unwrap();
         assert_eq!(t.len(), 4);
@@ -1551,12 +1441,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_run_with_sampler_keeps_invariant() {
+    fn empty_sampled_run_keeps_invariant() {
         let mut e = engine();
-        let s = e.run_with(
-            std::iter::empty(),
-            &WorkloadHints::default(),
-            &RunOptions::new().sampler(SamplerConfig::every(100)),
+        let s = e.execute(
+            from_iter(std::iter::empty()),
+            &ExecPlan::new().sampler(SamplerConfig::every(100)),
         );
         let t = s.timeline().expect("even an empty run gets a timeline");
         assert_eq!(t.len(), 1);
@@ -1577,21 +1466,16 @@ mod tests {
             indirect_target_miss_rate: 0.13,
             ..WorkloadHints::default()
         };
-        let opts = RunOptions::new()
+        let plan = ExecPlan::new()
+            .hints(hints)
             .warmup(2_500)
             .sampler(SamplerConfig::every(1_234));
         let mut plain_engine = engine();
-        let plain = plain_engine.execute(
-            from_iter(ops.iter().copied()),
-            &ExecPlan::from(opts).hints(hints),
-        );
+        let plain = plain_engine.execute(from_iter(ops.iter().copied()), &plan);
         let profiled = {
             let _prof = simprof::test_support::enabled(777);
             let mut e = engine();
-            e.execute(
-                from_iter(ops.iter().copied()),
-                &ExecPlan::from(opts).hints(hints),
-            )
+            e.execute(from_iter(ops.iter().copied()), &plan)
         };
         assert_eq!(plain, profiled, "profiling must not perturb any counter");
     }
@@ -1607,10 +1491,7 @@ mod tests {
             let _prof = simprof::test_support::enabled(interval);
             let root = simprof::frame(ROOT);
             let mut e = engine();
-            e.execute(
-                from_iter(phased_ops(n)),
-                &ExecPlan::from(RunOptions::new().warmup(5_000)),
-            );
+            e.execute(from_iter(phased_ops(n)), &ExecPlan::new().warmup(5_000));
             drop(root);
             simprof::drain()
         };
@@ -1636,18 +1517,17 @@ mod tests {
     }
 
     #[test]
-    fn run_options_switch_predictor() {
+    fn plan_switches_predictor() {
         let mut e = engine();
         assert_eq!(e.predictor_kind(), PredictorKind::Tournament);
         let ops: Vec<MicroOp> = (0..100).map(|_| MicroOp::Alu).collect();
-        e.run_with(
-            ops.clone(),
-            &WorkloadHints::default(),
-            &RunOptions::new().predictor(PredictorKind::Bimodal),
+        e.execute(
+            from_iter(ops.clone()),
+            &ExecPlan::new().predictor(PredictorKind::Bimodal),
         );
         assert_eq!(e.predictor_kind(), PredictorKind::Bimodal);
         // None keeps the switched predictor.
-        e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        e.execute(from_iter(ops), &ExecPlan::new());
         assert_eq!(e.predictor_kind(), PredictorKind::Bimodal);
     }
 
@@ -1661,11 +1541,11 @@ mod tests {
             PredictorKind::Bimodal,
             PredictorKind::AlwaysTaken,
         ] {
-            let opts = RunOptions::new().predictor(kind);
+            let plan = ExecPlan::new().hints(hints).predictor(kind);
             let mut scalar = engine();
-            let want = scalar.run_reference(ops.iter().copied(), &hints, &opts);
+            let want = scalar.run_reference(ops.iter().copied(), &plan);
             let mut batched = engine();
-            let got = batched.execute(from_iter(ops.iter().copied()), &ExecPlan::from(opts));
+            let got = batched.execute(from_iter(ops.iter().copied()), &plan);
             assert_eq!(want, got, "predictor {kind:?} must match reference");
         }
     }

@@ -1,7 +1,7 @@
 //! This crate's process-metric handles (the `uarch_*` namespace).
 //!
 //! The engine records once per *run*, not per op — one counter add and one
-//! histogram observation at the end of [`crate::engine::Engine::run_with`]
+//! histogram observation at the end of [`crate::engine::Engine::execute`]
 //! — so enabled-mode overhead on the hot loop is a constant, which is what
 //! keeps the paired `engine_run_100k` bench under its 5% budget.
 
@@ -31,7 +31,7 @@ handle!(pub(crate) sim_time_micros, histogram, Histogram,
 handle!(pub(crate) ops_warmed, counter, Counter,
     "uarch_ops_warmed_total",
     "Micro-ops run through functional warming (state updates without \
-     counter accounting) by Engine::warm_with, e.g. the gap intervals of \
+     counter accounting) by Engine::warm, e.g. the gap intervals of \
      a simpoint sparse replay.");
 
 /// Forces registration of every `uarch_*` metric for the lint pass.

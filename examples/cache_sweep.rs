@@ -1,9 +1,10 @@
-//! Architecture exploration with the substrate: replay identical workload
-//! traces across machine variants and watch the suite respond — the
+//! Architecture exploration with the substrate: stream identical workload
+//! traces through machine variants and watch the suite respond — the
 //! design-space study the paper motivates using CPU2017 for.
 //!
-//! Sweeps are trace-driven: each application's micro-op stream is generated
-//! once on the baseline Haswell and replayed unchanged on every variant, so
+//! Sweeps are trace-driven: each (variant, application) point is one
+//! scheduler job that generates the application's micro-op stream for the
+//! baseline Haswell and streams it unchanged through the variant, so
 //! differences are attributable to the hardware alone.
 //!
 //! ```text
@@ -21,12 +22,13 @@ fn main() {
         .map(|n| cpu2017::app(n).expect("known app"))
         .collect();
     println!(
-        "sweeping {} applications, traces generated once on {}\n",
+        "sweeping {} applications, traces generated for {}\n",
         apps.len(),
         config.system.name
     );
 
-    let latency = memory_latency_sweep(&apps, &config, &[120, 220, 320, 500]);
+    let latency = memory_latency_sweep(&apps, &config, &[120, 220, 320, 500], None)
+        .expect("curated profiles characterize cleanly");
     println!("{}", latency.table().render_ascii());
     println!(
         "Memory-bound members (mcf, fotonik3d) pay for every added DRAM cycle;\n\
@@ -34,7 +36,8 @@ fn main() {
          paper's memory-subsystem-provisioning discussion.\n"
     );
 
-    let width = issue_width_sweep(&apps, &config, &[1, 2, 4, 6]);
+    let width = issue_width_sweep(&apps, &config, &[1, 2, 4, 6], None)
+        .expect("curated profiles characterize cleanly");
     println!("{}", width.table().render_ascii());
     println!(
         "IPC saturates at the paper machine's 4-wide issue: the calibrated\n\
